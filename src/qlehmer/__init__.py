@@ -16,10 +16,9 @@ from .poly import (
     to_text,
     z_pow,
 )
-from .qcomb import QBinom, gauss_pascal, gauss_product, poch_qq
+from .qcomb import gauss_pascal, gauss_product, poch_qq
 from .lehmer import (
     BandedFactors,
-    LambdaFamily,
     TriMatrix,
     closed_factors,
     det_closed,
@@ -28,7 +27,6 @@ from .lehmer import (
     lehmer_matrix,
 )
 from .linalg import (
-    DenseMatrix,
     ZeroPivotError,
     det_bareiss,
     det_cofactor,

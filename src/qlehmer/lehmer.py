@@ -76,19 +76,6 @@ class BandedFactors:
             raise ValueError("off-diagonal bands must have n-1 entries")
 
 
-@dataclass(frozen=True)
-class LambdaFamily:
-    """The table lam(0..j_max), built by the three-term recursion."""
-
-    values: tuple[Poly2, ...]
-
-    def __getitem__(self, j: int) -> Poly2:
-        return self.values[j]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def lambda_sum(j: int) -> Poly2:
     """lam(j) from the closed sum, one Gaussian-binomial term per z-power."""
     if j < 0:
@@ -100,7 +87,7 @@ def lambda_sum(j: int) -> Poly2:
     return total
 
 
-def lambda_rec(j_max: int) -> LambdaFamily:
+def lambda_rec(j_max: int) -> tuple[Poly2, ...]:
     """The table lam(0..j_max) via lam(j) = lam(j-1) - z q^(j-2) lam(j-2).
 
     The recursion only applies from j = 2 on (q^(j-2) would be a negative
@@ -111,7 +98,7 @@ def lambda_rec(j_max: int) -> LambdaFamily:
     values = [ONE, ONE]
     for j in range(2, j_max + 1):
         values.append(values[j - 1] - z_pow(1) * q_pow(j - 2) * values[j - 2])
-    return LambdaFamily(tuple(values[: j_max + 1]))
+    return tuple(values[: j_max + 1])
 
 
 def band_monomial(i: int) -> Poly2:

@@ -3,14 +3,16 @@
 Nothing in here knows the closed forms: `lu_generic` runs Doolittle
 elimination over the fraction field and must rediscover the guessed factors,
 `product_check` multiplies L by U entry-by-entry (off-band zeros included),
-and two determinant routes (`det_cofactor` via the continuant recurrence,
-`det_bareiss` via fraction-free dense elimination) must agree with the
-closed form.  The two determinant oracles deliberately have uncorrelated
-failure modes: one exploits the band structure, the other ignores it.
+and two determinant routes must agree with the closed form.  `det_cofactor`
+exploits the band structure: on M(n) the product sub * super is z q^(j-1), so
+it runs the same three-term recurrence as `lambda_rec` and is not independent
+of the closed form.  `det_bareiss`, fraction-free dense elimination blind to
+the bands, is the independent determinant oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .lehmer import BandedFactors, TriMatrix
@@ -19,68 +21,6 @@ from .poly import ONE, RAT_ONE, RAT_ZERO, ZERO, Poly2, RatFunc, exact_div, ratfu
 
 class ZeroPivotError(ArithmeticError):
     """A pivot vanished where the elimination cannot continue."""
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Plain n x n grid of rational functions."""
-
-    n: int
-    entries: tuple[tuple[RatFunc, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("matrix dimension must be positive")
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise ValueError("entries must form an n x n grid")
-
-    @classmethod
-    def from_tri(cls, m: TriMatrix) -> "DenseMatrix":
-        rows = tuple(tuple(RatFunc(m.entry(i, j)) for j in range(m.n))
-                     for i in range(m.n))
-        return cls(m.n, rows)
-
-    @classmethod
-    def from_poly_rows(cls, rows) -> "DenseMatrix":
-        grid = tuple(tuple(RatFunc(e) for e in row) for row in rows)
-        return cls(len(grid), grid)
-
-    def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = RAT_ZERO
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return DenseMatrix(n, tuple(rows))
-
-
-def dense_lower(f: BandedFactors) -> DenseMatrix:
-    """L as a dense matrix: unit diagonal plus the subdiagonal band."""
-    n = f.n
-    rows = [[RAT_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = RAT_ONE
-    for i in range(n - 1):
-        rows[i + 1][i] = f.l_sub[i]
-    return DenseMatrix(n, tuple(tuple(r) for r in rows))
-
-
-def dense_upper(f: BandedFactors) -> DenseMatrix:
-    """U as a dense matrix: diagonal plus the superdiagonal band."""
-    n = f.n
-    rows = [[RAT_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = f.u_diag[i]
-    for i in range(n - 1):
-        rows[i][i + 1] = RatFunc(f.u_super[i])
-    return DenseMatrix(n, tuple(tuple(r) for r in rows))
 
 
 def lu_generic(m: TriMatrix) -> BandedFactors:
@@ -116,15 +56,31 @@ class ProductCheckResult:
         return self.ok
 
 
+def _lu_entry(f: BandedFactors, i: int, j: int) -> RatFunc:
+    """(L*U)[i][j] from the bands: only k in {i-1, i} & {j-1, j} contributes.
+
+    Terms are summed in increasing k, the order of a row-times-column sum,
+    which fixes the num/den pair each entry carries.
+    """
+    acc = RAT_ZERO
+    for k in range(max(i - 1, j - 1, 0), min(i, j) + 1):
+        lower = RAT_ONE if k == i else f.l_sub[k]
+        upper = f.u_diag[j] if k == j else RatFunc(f.u_super[k])
+        acc = acc + lower * upper
+    return acc
+
+
 def product_check(f: BandedFactors, m: TriMatrix) -> ProductCheckResult:
-    """Exact entry-by-entry test that L*U equals m, off-band zeros included."""
+    """Exact entry-by-entry test that L*U equals m, off-band zeros included.
+
+    All n^2 entries are compared in row-major order; the first one that
+    differs is reported.
+    """
     if f.n != m.n:
         raise ValueError("dimension mismatch")
-    product = dense_lower(f).matmul(dense_upper(f))
-    target = DenseMatrix.from_tri(m)
     for i in range(m.n):
         for j in range(m.n):
-            if not ratfunc_eq(product.entries[i][j], target.entries[i][j]):
+            if not ratfunc_eq(_lu_entry(f, i, j), RatFunc(m.entry(i, j))):
                 return ProductCheckResult(False, (i, j))
     return ProductCheckResult(True)
 
@@ -140,19 +96,18 @@ def det_cofactor(m: TriMatrix) -> Poly2:
     return prev1
 
 
-def det_bareiss(m: DenseMatrix) -> Poly2:
-    """Determinant by fraction-free elimination; every division is exact.
+def det_bareiss(rows: Sequence[Sequence[Poly2]]) -> Poly2:
+    """Determinant of a square grid of polynomials by fraction-free
+    elimination; every division is exact.
 
-    Input entries must be polynomials (denominator literally 1).  A zero
-    pivot triggers a row-swap search (sign flip); a fully zero pivot column
-    means the determinant is zero.  Blind to any band structure on purpose.
+    A zero pivot triggers a row-swap search (sign flip); a fully zero pivot
+    column means the determinant is zero.  Blind to any band structure on
+    purpose.
     """
-    for row in m.entries:
-        for e in row:
-            if e.den != ONE:
-                raise ValueError("entries must be polynomials (denominator 1)")
-    n = m.n
-    a = [[e.num for e in row] for row in m.entries]
+    n = len(rows)
+    if n < 1 or any(len(row) != n for row in rows):
+        raise ValueError("entries must form a nonempty square grid")
+    a = [list(row) for row in rows]
     sign = 1
     prev = ONE
     for k in range(n - 1):

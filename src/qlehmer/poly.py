@@ -205,16 +205,6 @@ def z_pow(k: int) -> Poly2:
     return Poly2.monomial(1, 0, 2 * k)
 
 
-def add(a: Poly2, b: Poly2) -> Poly2:
-    """Term-wise sum in canonical form."""
-    return a + b
-
-
-def mul(a: Poly2, b: Poly2) -> Poly2:
-    """Distributive product in canonical form; exact integer coefficients."""
-    return a * b
-
-
 def exact_div(a: Poly2, b: Poly2) -> Poly2:
     """Quotient c with c*b == a, when b divides a exactly in Z[u, v].
 

@@ -14,8 +14,6 @@ Poly2 values with even u-exponents and zero v-exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import ONE, ZERO, Poly2, exact_div, q_pow
 
 # Both caches are filled idempotently (every key maps to one deterministic
@@ -70,16 +68,3 @@ def gauss_pascal(n: int, k: int) -> Poly2:
             else:
                 _PASCAL[(m, i)] = _PASCAL[(m - 1, i - 1)] + q_pow(i) * _PASCAL[(m - 1, i)]
     return _PASCAL[(n, k)]
-
-
-@dataclass(frozen=True)
-class QBinom:
-    """A Gaussian binomial together with its indices."""
-
-    n: int
-    k: int
-    value: Poly2
-
-    @classmethod
-    def of(cls, n: int, k: int) -> "QBinom":
-        return cls(n, k, gauss_product(n, k))

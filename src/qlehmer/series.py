@@ -7,17 +7,18 @@ As n grows, det M(n) stabilizes coefficient-wise to the q-series
 represented here as a `Series2`: a z-polynomial truncated at degree K whose
 coefficients are q-polynomials truncated at degree D.  `stabilization_check`
 measures, for one z-power at a time, through which q-degree the finite
-determinant already agrees with the limit; the certified empirical answer is
-exactly n - 2k (brute-forced over 1 <= k <= 4, 2k <= n <= 20 before being
-frozen into the tests, see scripts/stabilization_scan.py).
+determinant already agrees with the limit; the answer is exactly n - 2k for
+k >= 1, because [n-k k]_q = (q^(n-2k+1); q)_k / (q;q)_k and the numerator is
+1 - q^(n-2k+1) + O(q^(n-2k+2)).
 
 At q = 1 the pivot ratios become the generating functions of Dyck paths of
 bounded height: the series expansion of lam(h)/lam(h+1) in z counts paths of
-half-length m whose height never exceeds h.  Convention pinned empirically
-against the exhaustive DP oracle (`dyck_count`): height is the maximum level
-reached, z marks half-length (number of up-steps), and the h-bounded count
-pairs with the ratio lam(h)/lam(h+1), validated at h = 0 (empty path only)
-and h = 1 (a single zigzag path per length) before being frozen.
+half-length m whose height never exceeds h, with height the maximum level
+reached and z marking half-length (number of up-steps).  This is the
+continued-fraction theory of Flajolet (1980), "Combinatorial aspects of
+continued fractions": the height-h truncation of 1/(1 - z/(1 - z/(1 - ...)))
+is a ratio of consecutive lam(., q=1) polynomials.  `dyck_gf_check` tests it
+against the exhaustive DP oracle `dyck_count`.
 """
 
 from __future__ import annotations
@@ -145,13 +146,12 @@ def stabilization_check(n: int, k: int) -> int | None:
     if k == 0:
         return None
     finite = gauss_product(n - k, k)
+    # One comparison suffices: 1/(q;q)_k has a positive coefficient (a
+    # partition count) at every q-degree, and the finite side vanishes above
+    # its degree, which is below cap, so the two differ at or below cap.
     cap = max(finite.deg_u() // 2 + 2, 4)
-    while True:
-        diff = finite - invert_poch(k, cap)
-        if not diff.is_zero:
-            first = min(eu for eu, _ in diff.terms) // 2
-            return first - 1
-        cap *= 2
+    diff = finite - invert_poch(k, cap)
+    return min(eu for eu, _ in diff.terms) // 2 - 1
 
 
 def dyck_count(m: int, h: int) -> int:

@@ -1,5 +1,7 @@
 """Generic LU, exact product verification, and the two determinant oracles."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,17 +14,19 @@ from qlehmer.lehmer import (
     lambda_sum,
     lehmer_matrix,
 )
+from qlehmer import linalg
 from qlehmer.linalg import (
-    DenseMatrix,
     ZeroPivotError,
-    dense_lower,
-    dense_upper,
     det_bareiss,
     det_cofactor,
     lu_generic,
     product_check,
 )
 from qlehmer.poly import ONE, ZERO, Poly2, RatFunc, ratfunc_eq
+
+
+def rows_of(m):
+    return [[m.entry(i, j) for j in range(m.n)] for i in range(m.n)]
 
 
 def tri_constant(diag, sup, sub):
@@ -69,36 +73,61 @@ class TestProductCheck:
         f = closed_factors(4)
         bad_diag = list(f.u_diag)
         bad_diag[2] = bad_diag[2] + 1
-        bad = type(f)(n=f.n, u_diag=tuple(bad_diag),
-                      u_super=f.u_super, l_sub=f.l_sub)
+        bad = replace(f, u_diag=tuple(bad_diag))
         result = product_check(bad, lehmer_matrix(4))
         assert not result
-        assert result.mismatch is not None
+        assert result.mismatch == (2, 2)
 
-    def test_unit_lower_diagonal(self):
-        dense = dense_lower(closed_factors(5))
-        for i in range(5):
-            assert ratfunc_eq(dense.entries[i][i], RatFunc(ONE))
+    def test_band_perturbation_reports_its_entry(self):
+        # The first row-major mismatch is where the perturbed factor entry
+        # first enters L*U: (i, i) for u_diag[i], (i, i+1) for u_super[i]
+        # and (i+1, i) for l_sub[i].
+        n = 6
+        f = closed_factors(n)
+        offsets = {"u_diag": (0, 0), "u_super": (0, 1), "l_sub": (1, 0)}
+        for band, (di, dj) in offsets.items():
+            for i, entry in enumerate(getattr(f, band)):
+                entries = list(getattr(f, band))
+                entries[i] = entry + 1
+                bad = replace(f, **{band: tuple(entries)})
+                assert product_check(bad, lehmer_matrix(n)).mismatch == (i + di, i + dj), (band, i)
+        # Row-major order: (0, 1) is reported before (1, 0).
+        both = replace(f, u_super=(f.u_super[0] + 1,) + f.u_super[1:],
+                       l_sub=(f.l_sub[0] + 1,) + f.l_sub[1:])
+        assert product_check(both, lehmer_matrix(n)).mismatch == (0, 1)
 
-    def test_off_band_products_are_exact_zeros(self):
-        f = closed_factors(6)
-        product = dense_lower(f).matmul(dense_upper(f))
-        for i in range(6):
-            for j in range(6):
-                if abs(i - j) >= 2:
-                    assert product.entries[i][j].is_zero, (i, j)
+    @staticmethod
+    def compared_entries(monkeypatch, n):
+        # product_check compares every (i, j) of L*U with the matrix, in
+        # row-major order; record those (product, target) pairs.
+        compared = []
 
-    def test_three_band_cases(self):
+        def recording_eq(a, b):
+            compared.append((a, b))
+            return ratfunc_eq(a, b)
+
+        monkeypatch.setattr(linalg, "ratfunc_eq", recording_eq)
+        assert product_check(closed_factors(n), lehmer_matrix(n))
+        assert len(compared) == n * n
+        return {divmod(index, n): pair for index, pair in enumerate(compared)}
+
+    def test_off_band_products_are_exact_zeros(self, monkeypatch):
+        n = 6
+        compared = self.compared_entries(monkeypatch, n)
+        for (i, j), (product, target) in compared.items():
+            if abs(i - j) >= 2:
+                assert product.is_zero and target.is_zero, (i, j)
+
+    def test_three_band_cases(self, monkeypatch):
         # On-band products reproduce the matrix entries: 1 on the diagonal,
         # v*u^(j-1) above (1-based band j), v*u^(j-1) below.
         n = 8
-        f = closed_factors(n)
-        product = dense_lower(f).matmul(dense_upper(f))
+        compared = self.compared_entries(monkeypatch, n)
         for j in range(n):
-            assert ratfunc_eq(product.entries[j][j], RatFunc(ONE))
+            assert ratfunc_eq(compared[j, j][0], RatFunc(ONE))
         for j in range(n - 1):
-            assert ratfunc_eq(product.entries[j][j + 1], RatFunc(band_monomial(j + 1)))
-            assert ratfunc_eq(product.entries[j + 1][j], RatFunc(band_monomial(j + 1)))
+            assert ratfunc_eq(compared[j, j + 1][0], RatFunc(band_monomial(j + 1)))
+            assert ratfunc_eq(compared[j + 1, j][0], RatFunc(band_monomial(j + 1)))
 
 
 class TestDetCofactor:
@@ -113,28 +142,24 @@ class TestDetCofactor:
 
 class TestDetBareiss:
     def test_identity(self):
-        m = DenseMatrix.from_poly_rows(
-            [[ONE if i == j else ZERO for j in range(3)] for i in range(3)])
-        assert det_bareiss(m) == ONE
+        rows = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+        assert det_bareiss(rows) == ONE
 
     def test_equal_rows(self):
         row = [ONE, ONE + Poly2.monomial(1, 1, 0)]
-        assert det_bareiss(DenseMatrix.from_poly_rows([row, row])) == ZERO
+        assert det_bareiss([row, row]) == ZERO
 
     def test_row_swap_flips_sign(self):
-        m = DenseMatrix.from_poly_rows([[ZERO, ONE], [ONE, ZERO]])
-        assert det_bareiss(m) == Poly2.constant(-1)
+        assert det_bareiss([[ZERO, ONE], [ONE, ZERO]]) == Poly2.constant(-1)
 
     def test_lehmer_up_to_8(self):
         for n in range(1, 9):
-            dense = DenseMatrix.from_tri(lehmer_matrix(n))
-            assert det_bareiss(dense) == det_closed(n), n
+            assert det_bareiss(rows_of(lehmer_matrix(n))) == det_closed(n), n
 
-    def test_rejects_fractional_entries(self):
-        frac = RatFunc(ONE, ONE + Poly2.monomial(1, 1, 0))
-        m = DenseMatrix(1, ((frac,),))
-        with pytest.raises(ValueError):
-            det_bareiss(m)
+    def test_rejects_non_square_grid(self):
+        for rows in ([], [[ONE, ZERO]], [[ONE, ZERO], [ONE]]):
+            with pytest.raises(ValueError):
+                det_bareiss(rows)
 
 
 def test_det_oracles_agree_against_lambda_sum():
@@ -161,7 +186,7 @@ def random_tridiagonal(draw, max_n=5):
 @settings(deadline=None)
 @given(random_tridiagonal())
 def test_continuant_agrees_with_bareiss(m):
-    assert det_cofactor(m) == det_bareiss(DenseMatrix.from_tri(m))
+    assert det_cofactor(m) == det_bareiss(rows_of(m))
 
 
 @settings(deadline=None)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from qlehmer.poly import ONE, ZERO, Poly2, eval_qz, eval_u1, q_pow
-from qlehmer.qcomb import QBinom, gauss_pascal, gauss_product, poch_qq
+from qlehmer.qcomb import gauss_pascal, gauss_product, poch_qq
 
 
 def q_poly(coeffs):
@@ -82,10 +82,3 @@ def test_q1_specialization_is_binomial():
             g = gauss_product(n, k)
             assert eval_u1(g) == Poly2.constant(math.comb(n, k))
             assert eval_qz(g, 1, 1) == math.comb(n, k)
-
-
-def test_qbinom_record():
-    b = QBinom.of(4, 2)
-    assert (b.n, b.k) == (4, 2)
-    assert b.value == gauss_product(4, 2)
-    assert QBinom.of(5, 7).value == ZERO

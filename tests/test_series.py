@@ -111,8 +111,8 @@ class TestStabilization:
             stabilization_check(5, 3)
 
     def test_certified_threshold(self):
-        # Frozen from the brute-force scan: agreement is exactly n - 2k on
-        # the whole certified window (in particular >= n - 2k).
+        # [n-k k]_q = (q^(n-2k+1); q)_k / (q;q)_k, so agreement is exactly
+        # n - 2k; brute-force comparison over the window.
         for k in range(1, 5):
             for n in range(2 * k, 21):
                 assert stabilization_check(n, k) == n - 2 * k, (n, k)
