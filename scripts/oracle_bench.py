@@ -1,17 +1,30 @@
 #!/usr/bin/env python3
-"""Timing of the determinant and LU routes as the matrix grows.
+"""Timing of the multiply kernel and of the determinant and LU routes.
 
-Exact bivariate arithmetic suffers intermediate-expression swell, so the
-test-suite size caps (continuant at n=14, Bareiss at n=8, generic LU at
-n=12, product check at n=16) were chosen by measurement.  Rerun this to
-retune them on different hardware.
+Exact bivariate arithmetic suffers intermediate-expression swell, so every
+size cap is set by measurement:
+
+* `qlehmer verify` refuses n > 48 (`cli.VERIFY_MAX_N`).  Its cost grows
+  about as n^6; on a shared 2-core host `verify 40` took 7 s and `verify 48`
+  22 s.
+* The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
+  product check n <= 16) so that it stays fast; since large products go
+  through Kronecker substitution these routes take well under a second there.
+* Bareiss stays at n <= 8 in the tests: its cost is the leading-term scan in
+  `exact_div`, not the multiply (4.3 s at n = 22).
+
+The kernel table times one product lam(n-1) * lam(n) per size and records
+its term count and largest coefficient in bits, the output size that drives
+the cost.  Rerun this to retune the caps on different hardware.
 """
 
 import argparse
 import time
 
-from qlehmer.lehmer import closed_factors, det_closed, lehmer_matrix
+from qlehmer.lehmer import closed_factors, det_closed, lambda_rec, lehmer_matrix
 from qlehmer.linalg import det_bareiss, det_cofactor, lu_generic, product_check
+
+KERNEL_SIZES = (8, 16, 22, 32, 48, 64)
 
 
 def timed(fn):
@@ -20,13 +33,27 @@ def timed(fn):
     return time.perf_counter() - start
 
 
+def kernel_table() -> None:
+    lam = lambda_rec(max(KERNEL_SIZES))
+    print(f"{'n':>3} {'lam(n-1)*lam(n)':>16} {'terms':>7} {'bits':>5}")
+    for n in KERNEL_SIZES:
+        start = time.perf_counter()
+        product = lam[n - 1] * lam[n]
+        seconds = time.perf_counter() - start
+        bits = max(abs(c).bit_length() for c in product.terms.values())
+        print(f"{n:>3} {seconds:16.4f} {len(product.terms):>7} {bits:>5}")
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-n", type=int, default=16)
     parser.add_argument("--max-bareiss", type=int, default=10,
                         help="separate cap for the dense fraction-free route")
     args = parser.parse_args()
 
+    kernel_table()
+    print()
     print(f"{'n':>3} {'closed':>9} {'continuant':>11} {'bareiss':>9} "
           f"{'lu_generic':>11} {'product':>9}")
     for n in range(1, args.max_n + 1):

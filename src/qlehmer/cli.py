@@ -23,6 +23,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Largest n that `verify` accepts.  The checks cost about n^6: on a shared
+# 2-core host `verify 40` takes 7 s and `verify 48` 22 s, while `verify 64`
+# would run for minutes, so larger n is refused before any work starts.
+VERIFY_MAX_N = 48
+
+
+def _verify_size(text: str) -> int:
+    value = _positive_int(text)
+    if value > VERIFY_MAX_N:
+        raise argparse.ArgumentTypeError(
+            f"verify is limited to n <= {VERIFY_MAX_N} (its cost grows about as n^6), got {text}")
+    return value
+
+
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -132,6 +146,8 @@ def _cmd_verify(args) -> int:
         ("product L*U equals matrix", bool(linalg.product_check(f, m))),
         ("continuant det equals closed det",
          linalg.det_cofactor(m) == lehmer.det_closed(args.n)),
+        ("closed sum equals recursion det",
+         lehmer.lambda_sum(args.n) == lehmer.det_closed(args.n)),
     ]
     all_ok = True
     for name, ok in checks:
@@ -167,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lu)
 
     p = sub.add_parser("verify", help="run the independent oracles against the closed forms")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_verify_size)
     p.set_defaults(func=_cmd_verify)
 
     p = with_json(sub.add_parser("qbinom", help="Gaussian q-binomial coefficient"))

@@ -12,6 +12,16 @@ determinant elimination is harmless.  The zero polynomial is the empty map.
 The term order used everywhere (printing, leading terms, exact division) is
 graded lexicographic on (eu + ev, eu, ev).
 
+Multiplication takes one of two paths, chosen by term count alone.  When the
+smaller operand has fewer than `KRONECKER_MIN_TERMS` terms (always the case
+for the monomial shifts of the recursions) it runs the dict convolution over
+all term pairs.  Otherwise it uses Kronecker substitution: both operands are
+packed into single ints, multiplied once by CPython's bigint multiply, and
+the product is unpacked.  Before packing, each variable's exponents are
+shifted by the operand's minimum and divided by the gcd of the offsets, so
+the all-even (u, v) exponents of (q, z) values such as lam(n) cost nothing
+extra over the (q, z) view.
+
 `RatFunc` is the quotient-field layer: a num/den pair of polynomials with
 den != 0.  It never reduces by GCD; equality is cross-multiplication, which
 is all the LU verification needs.
@@ -19,6 +29,8 @@ is all the LU verification needs.
 
 from __future__ import annotations
 
+import re
+from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 
@@ -138,6 +150,8 @@ class Poly2:
             return Poly2._raw({})
         if len(a) > len(b):
             a, b = b, a
+        if len(a) >= KRONECKER_MIN_TERMS:
+            return Poly2._raw(_mul_kronecker(a, b))
         out: dict[Exponents, int] = {}
         get = out.get
         for (au, av), ac in a.items():
@@ -179,6 +193,67 @@ class Poly2:
 
     def __repr__(self) -> str:
         return f"Poly2({to_text(self)!r})"
+
+
+# Term count of the smaller operand from which `Poly2.__mul__` packs instead of
+# running the dict convolution.  Below it the per-term packing and the pass over
+# the exponent box cost more than the len(a) * len(b) loop saves.
+KRONECKER_MIN_TERMS = 10
+
+
+def _mul_kronecker(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int]:
+    """Product of two nonzero term maps by Kronecker substitution.
+
+    Per variable, exponents are shifted by each operand's minimum and divided
+    by the gcd of all offsets, so (u, v) values with only even exponents pack
+    as densely as their (q, z) view.  A reduced exponent pair (i, k) becomes
+    the digit position k * row + i in base 2**(8 * width), where row spans
+    the product's reduced u-range, so no digit of the product wraps into the
+    next row.  Every product coefficient is a sum of at most min(#a, #b)
+    terms, each bounded by max|a| * max|b|; `width` bytes hold that bound
+    plus a sign bit.  The two packed ints are multiplied once, and the
+    product is unpacked after adding half the digit range to every digit,
+    which makes each digit nonnegative so negative ones need no borrow.
+    The packed ints span the product's whole exponent box, so the cost
+    follows the box, which the polynomials built here fill densely.
+    """
+    a_u, a_v = zip(*a)
+    b_u, b_v = zip(*b)
+    au, av, bu, bv = min(a_u), min(a_v), min(b_u), min(b_v)
+    su = gcd(*{e - au for e in a_u}, *{e - bu for e in b_u}) or 1
+    sv = gcd(*{e - av for e in a_v}, *{e - bv for e in b_v}) or 1
+    row = (max(a_u) - au + max(b_u) - bu) // su + 1
+    rows_a = (max(a_v) - av) // sv + 1
+    rows_b = (max(b_v) - bv) // sv + 1
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = bound.bit_length() // 8 + 1
+
+    def pack(terms: dict[Exponents, int], lu: int, lv: int, rows: int) -> int:
+        pos = bytearray(rows * row * width)
+        neg = bytearray(rows * row * width)
+        for (eu, ev), c in terms.items():
+            at = ((ev - lv) // sv * row + (eu - lu) // su) * width
+            if c > 0:
+                pos[at:at + width] = c.to_bytes(width, "little")
+            else:
+                neg[at:at + width] = (-c).to_bytes(width, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    rows = rows_a + rows_b - 1
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
+    biased = (pack(a, au, av, rows_a) * pack(b, bu, bv, rows_b)
+              + int.from_bytes(zero * (rows * row), "little"))
+    data = biased.to_bytes(rows * row * width, "little")
+    out: dict[Exponents, int] = {}
+    at = 0
+    for ev in range(av + bv, av + bv + rows * sv, sv):
+        for eu in range(au + bu, au + bu + row * su, su):
+            digit = data[at:at + width]
+            if digit != zero:
+                out[(eu, ev)] = int.from_bytes(digit, "little") - half
+            at += width
+    return out
 
 
 def _coerce(x: "Poly2 | int") -> Poly2:
@@ -423,14 +498,35 @@ def to_json_obj(p: Poly2) -> dict:
             "terms": [[ev, eu, str(c)] for (eu, ev), c in terms]}
 
 
+_COEFF_TEXT = re.compile(r"-?[1-9][0-9]*")
+
+
 def from_json_obj(obj: Mapping) -> Poly2:
-    """Rebuild a polynomial from its JSON form (inverse of to_json_obj)."""
-    variables = obj["vars"]
+    """Rebuild a polynomial from its JSON form (inverse of to_json_obj).
+
+    Accepts exactly what to_json_obj emits: an object with the keys `vars`
+    ("qz" or "uv") and `terms`, a list of [exp, exp, coeff] triples with
+    nonnegative int exponents (bool is not an int here) and nonzero
+    coefficients as canonical decimal strings, no exponent pair repeated.
+    Anything else raises ValueError.
+    """
+    if not isinstance(obj, Mapping) or set(obj) != {"vars", "terms"}:
+        raise ValueError("expected an object with exactly the keys 'vars' and 'terms'")
+    variables, triples = obj["vars"], obj["terms"]
     if variables not in ("qz", "uv"):
         raise ValueError(f"unknown variable marker {variables!r}")
+    if not isinstance(triples, list):
+        raise ValueError(f"'terms' must be a list, got {type(triples).__name__}")
     scale = 2 if variables == "qz" else 1
     out: dict[Exponents, int] = {}
-    for second, first, coeff in obj["terms"]:
+    for triple in triples:
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise ValueError(f"term {triple!r} is not an [exp, exp, coeff] triple")
+        second, first, coeff = triple
+        if type(first) is not int or type(second) is not int:
+            raise ValueError(f"exponents of {triple!r} must be ints")
+        if not isinstance(coeff, str) or not _COEFF_TEXT.fullmatch(coeff):
+            raise ValueError(f"coefficient of {triple!r} must be a nonzero decimal string")
         e = (scale * first, scale * second)
         if e in out:
             raise ValueError(f"duplicate exponent pair {e}")
@@ -443,4 +539,6 @@ def ratfunc_to_json_obj(r: RatFunc) -> dict:
 
 
 def ratfunc_from_json_obj(obj: Mapping) -> RatFunc:
+    if not isinstance(obj, Mapping) or set(obj) != {"num", "den"}:
+        raise ValueError("expected an object with exactly the keys 'num' and 'den'")
     return RatFunc(from_json_obj(obj["num"]), from_json_obj(obj["den"]))

@@ -82,9 +82,32 @@ def test_dyck():
 def test_verify_passes():
     code, out = run("verify", "6")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 3
-    assert all(line.endswith(": PASS") for line in lines)
+    assert out.splitlines() == [
+        "lu_generic rediscovers closed factors: PASS",
+        "product L*U equals matrix: PASS",
+        "continuant det equals closed det: PASS",
+        "closed sum equals recursion det: PASS",
+    ]
+
+
+def test_verify_reports_a_wrong_closed_sum(monkeypatch):
+    monkeypatch.setattr(cli.lehmer, "lambda_sum", lambda n: cli.lehmer.lambda_rec(n)[n] + 1)
+    code, out = run("verify", "4")
+    assert code == 1
+    assert out.splitlines()[-1] == "closed sum equals recursion det: FAIL"
+
+
+def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("verify computed past its cap")
+
+    for name in ("lehmer_matrix", "closed_factors", "det_closed", "lambda_sum"):
+        monkeypatch.setattr(cli.lehmer, name, forbidden)
+    with pytest.raises(SystemExit) as exc:
+        run("verify", str(cli.VERIFY_MAX_N + 1))
+    assert exc.value.code == 2
+    assert f"n <= {cli.VERIFY_MAX_N}" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["verify", str(cli.VERIFY_MAX_N)]).n == cli.VERIFY_MAX_N
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,14 @@
 """Ring axioms, canonical form, and fraction-field behavior of Poly2/RatFunc."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qlehmer.lehmer import lambda_rec
 from qlehmer.poly import (
+    KRONECKER_MIN_TERMS,
     ONE,
     ZERO,
     ExactDivisionError,
@@ -34,6 +38,34 @@ def P(terms):
 exponent_pairs = st.tuples(st.integers(0, 8), st.integers(0, 8))
 polys = st.dictionaries(exponent_pairs, st.integers(-9, 9), max_size=6).map(Poly2)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+
+@st.composite
+def wide_polys(draw):
+    """Operands above the Kronecker crossover: 10-60 terms on a shifted grid.
+
+    Each variable gets its own minimum exponent and stride (stride 1 mixes
+    parities, a zero v-stride keeps every v-exponent equal), and the
+    coefficients mix small values with ones up to 2**200 in size.
+    """
+    low_u, low_v = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    step_u, step_v = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    span_u, span_v = 25, (7 if step_v else 1)
+    cells = draw(st.sets(st.integers(0, span_u * span_v - 1),
+                         min_size=KRONECKER_MIN_TERMS, max_size=min(60, span_u * span_v)))
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**200, 2**200)).filter(bool)
+    return Poly2({(low_u + step_u * (k % span_u), low_v + step_v * (k // span_u)): draw(coeffs)
+                  for k in cells})
+
+
+def schoolbook(a, b):
+    """Reference product: the plain double loop over term pairs."""
+    out = {}
+    for (au, av), ac in a.iter_terms():
+        for (bu, bv), bc in b.iter_terms():
+            e = (au + bu, av + bv)
+            out[e] = out.get(e, 0) + ac * bc
+    return Poly2(out)
 
 
 class TestAdd:
@@ -196,6 +228,48 @@ def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
 
 
+# -- the Kronecker multiply path (both operands at or above the crossover) -----
+
+
+@given(wide_polys(), wide_polys())
+def test_kronecker_product_matches_schoolbook(a, b):
+    product = a * b
+    assert product == schoolbook(a, b)
+    assert all(c != 0 for c in product.terms.values())
+
+
+@given(wide_polys(), st.integers(1, 3), st.integers(0, 2), st.integers(KRONECKER_MIN_TERMS, 30))
+def test_kronecker_product_cancels(c, step_u, step_v, m):
+    # (1 - x)(1 + x + ... + x^(m-1)) telescopes to 1 - x^m, so most digits
+    # of the packed product cancel to zero and must leave no stored terms.
+    x = Poly2.monomial(1, step_u, step_v)
+    a = schoolbook(c, ONE - x)
+    geometric = Poly2({(step_u * i, step_v * i): 1 for i in range(m)})
+    assume(len(a.terms) >= KRONECKER_MIN_TERMS)
+    product = a * geometric
+    assert product == schoolbook(c, ONE - x ** m)
+    assert all(coeff != 0 for coeff in product.terms.values())
+
+
+def test_kronecker_digit_width_holds_the_tight_bound():
+    # Constant-coefficient runs attain min(#a, #b) * max|a| * max|b| in the
+    # middle of the product, so every digit width meets its largest value.
+    for c in (*range(1, 64), 2**100 - 1):
+        a = Poly2({(i, 1): c for i in range(KRONECKER_MIN_TERMS)})
+        for sign in (1, -1):
+            b = Poly2({(i, 0): sign * c for i in range(KRONECKER_MIN_TERMS + 2)})
+            assert a * b == schoolbook(a, b)
+
+
+def test_large_lambda_product_matches_evaluation():
+    # Evaluation is a ring map to Z and shares no code with any multiply path.
+    lam = lambda_rec(32)
+    product = lam[31] * lam[32]
+    assert len(lam[31].terms) >= KRONECKER_MIN_TERMS
+    for q, z in [(2, 3), (-3, 2), (5, -7), (1, -1), (-2, -5), (7, 11)]:
+        assert eval_qz(product, q, z) == eval_qz(lam[31], q, z) * eval_qz(lam[32], q, z)
+
+
 @given(polys, polys)
 def test_eval_u1_is_ring_homomorphism(a, b):
     assert eval_u1(a + b) == eval_u1(a) + eval_u1(b)
@@ -215,6 +289,76 @@ def test_text_and_json_round_trip(p):
     back = from_json_obj(obj)
     assert back == p
     assert to_text(back) == to_text(p)
+
+
+@pytest.mark.parametrize("obj", [
+    {"vars": "qz", "terms": [[0.5, 0, "1"]]},
+    {"vars": "qz", "terms": [[True, 0, "1"]]},
+    {"vars": "qz", "terms": [[0, 0, 1.5]]},
+    {"vars": "qz", "terms": [[0, 0, "1.5"]]},
+    {"vars": "qz", "terms": [[0, 0, 1]]},
+    {"vars": "qz", "terms": [[0, 0, "0"]]},
+    {"vars": "qz", "terms": [[0, -1, "1"]]},
+    {"vars": "qz", "terms": [[0, 0, "1"], [0, 0, "2"]]},
+    {"vars": "qz", "terms": [[0, 0]]},
+    {"vars": "qz", "terms": "1"},
+    {"vars": "qq", "terms": []},
+    {"terms": [[0, 0, "1"]]},
+    {"vars": "qz"},
+    {"vars": "qz", "terms": [], "extra": 1},
+    [["qz"]],
+])
+def test_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        from_json_obj(obj)
+
+
+def _not_canonical_decimal(s):
+    return re.fullmatch(r"-?[1-9][0-9]*", s) is None
+
+
+bad_exponents = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                          st.integers(max_value=-1), st.lists(st.integers(), max_size=2))
+bad_coeffs = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                       st.text(max_size=6).filter(_not_canonical_decimal))
+
+
+@st.composite
+def malformed_json(draw):
+    """A to_json_obj output with exactly one defect drawn into it."""
+    obj = to_json_obj(draw(nonzero_polys))
+    terms = [list(t) for t in obj["terms"]]
+    i = draw(st.integers(0, len(terms) - 1))
+    defect = draw(st.sampled_from(["exponent", "coeff", "arity", "duplicate", "vars",
+                                   "terms", "missing", "extra"]))
+    if defect == "exponent":
+        terms[i][draw(st.integers(0, 1))] = draw(bad_exponents)
+    elif defect == "coeff":
+        terms[i][2] = draw(bad_coeffs)
+    elif defect == "arity":
+        terms[i] = draw(st.sampled_from([terms[i][:2], terms[i] + ["1"], tuple(terms[i]),
+                                         str(terms[i])]))
+    elif defect == "duplicate":
+        terms.append(list(terms[i]))
+    elif defect == "vars":
+        obj["vars"] = draw(st.one_of(st.text(max_size=3), st.integers(), st.none())
+                           .filter(lambda v: v not in ("qz", "uv")))
+    elif defect == "terms":
+        return {"vars": obj["vars"], "terms": draw(st.one_of(st.text(), st.integers(),
+                                                             st.none(), st.dictionaries(st.text(), st.integers())))}
+    elif defect == "missing":
+        del obj[draw(st.sampled_from(["vars", "terms"]))]
+        return obj
+    else:
+        obj[draw(st.text(max_size=3).filter(lambda k: k not in obj))] = 0
+        return obj
+    return {"vars": obj["vars"], "terms": terms}
+
+
+@given(malformed_json())
+def test_from_json_rejects_every_defect(obj):
+    with pytest.raises(ValueError):
+        from_json_obj(obj)
 
 
 def test_text_examples():
