@@ -10,12 +10,18 @@ size cap is set by measurement:
 * The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
   product check n <= 16) so that it stays fast; since large products go
   through Kronecker substitution these routes take well under a second there.
-* Bareiss stays at n <= 8 in the tests: its cost is the leading-term scan in
-  `exact_div`, not the multiply (4.3 s at n = 22).
+* Bareiss runs up to n = 16 in the tests (about 0.13 s there) and stays out
+  of `verify`: at n = 22 it takes about 1 s, more than twice all of
+  `verify 22`.  Since `exact_div` divides packed ints, its cost sits in the
+  packing and unpacking of the entries, not in a leading-term scan (4.3 s
+  at n = 22 before).
 
-The kernel table times one product lam(n-1) * lam(n) per size and records
-its term count and largest coefficient in bits, the output size that drives
-the cost.  Rerun this to retune the caps on different hardware.
+The kernel table times one product lam(n-1) * lam(n) per size, and the
+division table one exact division per row: the Gaussian binomials [80 20]_q
+and [64 32]_q as q-Pochhammer quotients, and Bareiss on M(16) and M(22).
+Each row records the result's term count and largest coefficient in bits,
+the output size that drives the cost.  Rerun this to retune the caps on
+different hardware.
 """
 
 import argparse
@@ -23,8 +29,12 @@ import time
 
 from qlehmer.lehmer import closed_factors, det_closed, lambda_rec, lehmer_matrix
 from qlehmer.linalg import det_bareiss, det_cofactor, lu_generic, product_check
+from qlehmer.poly import exact_div
+from qlehmer.qcomb import poch_qq
 
 KERNEL_SIZES = (8, 16, 22, 32, 48, 64)
+DIVISION_SIZES = ((80, 20), (64, 32))
+BAREISS_SIZES = (16, 22)
 
 
 def timed(fn):
@@ -44,6 +54,26 @@ def kernel_table() -> None:
         print(f"{n:>3} {seconds:16.4f} {len(product.terms):>7} {bits:>5}")
 
 
+def division_table() -> None:
+    """One exact division per row, timed apart from building its operands."""
+    rows = []
+    for n, k in DIVISION_SIZES:
+        a, b = poch_qq(n), poch_qq(k) * poch_qq(n - k)
+        start = time.perf_counter()
+        quotient = exact_div(a, b)
+        rows.append((f"exact_div [{n} {k}]_q", time.perf_counter() - start, quotient))
+    for n in BAREISS_SIZES:
+        m = lehmer_matrix(n)
+        grid = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+        start = time.perf_counter()
+        det = det_bareiss(grid)
+        rows.append((f"det_bareiss n={n}", time.perf_counter() - start, det))
+    print(f"{'division':<22} {'seconds':>8} {'terms':>7} {'bits':>5}")
+    for name, seconds, result in rows:
+        bits = max(abs(c).bit_length() for c in result.terms.values())
+        print(f"{name:<22} {seconds:8.4f} {len(result.terms):>7} {bits:>5}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -53,6 +83,8 @@ def main() -> None:
     args = parser.parse_args()
 
     kernel_table()
+    print()
+    division_table()
     print()
     print(f"{'n':>3} {'closed':>9} {'continuant':>11} {'bareiss':>9} "
           f"{'lu_generic':>11} {'product':>9}")

@@ -9,18 +9,26 @@ polynomials whose u- and v-exponents are all even; `as_qz` converts them.
 A polynomial is a map from exponent pairs (eu, ev) to nonzero int
 coefficients.  Python ints are arbitrary precision, so coefficient growth in
 determinant elimination is harmless.  The zero polynomial is the empty map.
-The term order used everywhere (printing, leading terms, exact division) is
-graded lexicographic on (eu + ev, eu, ev).
+The term order used for printing is graded lexicographic on
+(eu + ev, eu, ev).
 
-Multiplication takes one of two paths, chosen by term count alone.  When the
-smaller operand has fewer than `KRONECKER_MIN_TERMS` terms (always the case
-for the monomial shifts of the recursions) it runs the dict convolution over
-all term pairs.  Otherwise it uses Kronecker substitution: both operands are
-packed into single ints, multiplied once by CPython's bigint multiply, and
-the product is unpacked.  Before packing, each variable's exponents are
-shifted by the operand's minimum and divided by the gcd of the offsets, so
-the all-even (u, v) exponents of (q, z) values such as lam(n) cost nothing
-extra over the (q, z) view.
+Multiplication takes one of two paths.  When the smaller operand has fewer
+than `KRONECKER_MIN_TERMS` terms (always the case for the monomial shifts of
+the recursions), or when the product's exponent box has more digits than
+there are term pairs, it runs the dict convolution over all term pairs.
+Otherwise it uses Kronecker substitution: both operands are packed into
+single ints, multiplied once by CPython's bigint multiply, and the product
+is unpacked.  Before packing, each variable's exponents are shifted by the
+operand's minimum and divided by the gcd of the offsets, so the all-even
+(u, v) exponents of (q, z) values such as lam(n) cost nothing extra over the
+(q, z) view.
+
+`exact_div` packs in the same layout and divides once with `divmod`; a
+nonzero remainder proves that the divisor does not divide.  The quotient is
+unpacked and returned only after an exact certificate that it times the
+divisor is the dividend.  The digit width starts at the divisor's and
+doubles until the certificate passes, up to a width derived from
+Mignotte's bound, at which a failed certificate proves non-divisibility.
 
 `RatFunc` is the quotient-field layer: a num/den pair of polynomials with
 den != 0.  It never reduces by GCD; equality is cross-multiplication, which
@@ -30,7 +38,7 @@ is all the LU verification needs.
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Mapping
 
 
@@ -97,13 +105,6 @@ class Poly2:
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]))
 
-    def leading(self) -> tuple[Exponents, int]:
-        """Leading (exponents, coefficient) under the graded-lex order."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=_order_key)
-        return e, self._terms[e]
-
     def deg_u(self) -> int:
         """Max u-exponent, -1 for the zero polynomial."""
         return max((e[0] for e in self._terms), default=-1)
@@ -151,7 +152,11 @@ class Poly2:
         if len(a) > len(b):
             a, b = b, a
         if len(a) >= KRONECKER_MIN_TERMS:
-            return Poly2._raw(_mul_kronecker(a, b))
+            grid = _grid(a, b)
+            _, _, _, span_a, span_b = grid
+            box = (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1)
+            if box <= len(a) * len(b):
+                return Poly2._raw(_mul_kronecker(a, b, grid))
         out: dict[Exponents, int] = {}
         get = out.get
         for (au, av), ac in a.items():
@@ -201,59 +206,106 @@ class Poly2:
 KRONECKER_MIN_TERMS = 10
 
 
-def _mul_kronecker(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int]:
-    """Product of two nonzero term maps by Kronecker substitution.
+def _grid(a: dict[Exponents, int], b: dict[Exponents, int]):
+    """The reduced exponent grid that packs the nonzero term maps a and b.
 
-    Per variable, exponents are shifted by each operand's minimum and divided
-    by the gcd of all offsets, so (u, v) values with only even exponents pack
-    as densely as their (q, z) view.  A reduced exponent pair (i, k) becomes
-    the digit position k * row + i in base 2**(8 * width), where row spans
-    the product's reduced u-range, so no digit of the product wraps into the
-    next row.  Every product coefficient is a sum of at most min(#a, #b)
-    terms, each bounded by max|a| * max|b|; `width` bytes hold that bound
-    plus a sign bit.  The two packed ints are multiplied once, and the
-    product is unpacked after adding half the digit range to every digit,
-    which makes each digit nonnegative so negative ones need no borrow.
-    The packed ints span the product's whole exponent box, so the cost
-    follows the box, which the polynomials built here fill densely.
+    Returns (low_a, low_b, step, span_a, span_b), each a (u, v) pair: every
+    exponent of a is low_a + step * i with 0 <= i <= span_a per variable,
+    and likewise for b.  The step is the gcd of all offsets from the minima
+    of both operands (1 where they are all zero), so (u, v) values with only
+    even exponents pack as densely as their (q, z) view.
     """
     a_u, a_v = zip(*a)
     b_u, b_v = zip(*b)
-    au, av, bu, bv = min(a_u), min(a_v), min(b_u), min(b_v)
-    su = gcd(*{e - au for e in a_u}, *{e - bu for e in b_u}) or 1
-    sv = gcd(*{e - av for e in a_v}, *{e - bv for e in b_v}) or 1
-    row = (max(a_u) - au + max(b_u) - bu) // su + 1
-    rows_a = (max(a_v) - av) // sv + 1
-    rows_b = (max(b_v) - bv) // sv + 1
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    width = bound.bit_length() // 8 + 1
+    low_a, low_b = (min(a_u), min(a_v)), (min(b_u), min(b_v))
+    su = gcd(*{e - low_a[0] for e in a_u}, *{e - low_b[0] for e in b_u}) or 1
+    sv = gcd(*{e - low_a[1] for e in a_v}, *{e - low_b[1] for e in b_v}) or 1
+    span_a = ((max(a_u) - low_a[0]) // su, (max(a_v) - low_a[1]) // sv)
+    span_b = ((max(b_u) - low_b[0]) // su, (max(b_v) - low_b[1]) // sv)
+    return low_a, low_b, (su, sv), span_a, span_b
 
-    def pack(terms: dict[Exponents, int], lu: int, lv: int, rows: int) -> int:
-        pos = bytearray(rows * row * width)
-        neg = bytearray(rows * row * width)
-        for (eu, ev), c in terms.items():
-            at = ((ev - lv) // sv * row + (eu - lu) // su) * width
-            if c > 0:
-                pos[at:at + width] = c.to_bytes(width, "little")
-            else:
-                neg[at:at + width] = (-c).to_bytes(width, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    rows = rows_a + rows_b - 1
+def _pack(terms: dict[Exponents, int], low: Exponents, step: Exponents, row: int,
+          rows: int, width: int) -> int:
+    """The term map evaluated at X = 2**(8 * width), as one int.
+
+    The reduced exponent pair (i, k) = ((eu - low_u) / su, (ev - low_v) / sv)
+    with k < rows goes to the power X**(k * row + i), so a row of `row`
+    digits holds one reduced v-exponent.  A coefficient may span `parts`
+    digits; terms whose powers differ mod `parts` go to different layers, so
+    no two terms of a layer overlap, and the layers are summed.
+    """
+    (lu, lv), (su, sv) = low, step
+    parts = (max(map(abs, terms.values())).bit_length() - 1) // (8 * width) + 1
+    span = parts * width
+    pos = [bytearray((rows * row + parts) * width) for _ in range(parts)]
+    neg = [bytearray((rows * row + parts) * width) for _ in range(parts)]
+    for (eu, ev), c in terms.items():
+        p = (ev - lv) // sv * row + (eu - lu) // su
+        at = p * width
+        if c > 0:
+            pos[p % parts][at:at + span] = c.to_bytes(span, "little")
+        else:
+            neg[p % parts][at:at + span] = (-c).to_bytes(span, "little")
+    return sum(int.from_bytes(p, "little") - int.from_bytes(n, "little")
+               for p, n in zip(pos, neg))
+
+
+def _unpack(value: int, low: Exponents, step: Exponents, row: int, rows: int,
+            cols: int, width: int) -> dict[Exponents, int] | None:
+    """Inverse of `_pack` in balanced digits, each in [-2**(8*width-1), 2**(8*width-1)).
+
+    Adding half the digit range to every digit makes each one nonnegative,
+    so negative digits need no borrow.  Returns None when the digits of
+    `value` do not fit `rows` rows, or a nonzero one lies in a column
+    >= `cols` of its row.
+    """
+    (lu, lv), (su, sv) = low, step
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
-    biased = (pack(a, au, av, rows_a) * pack(b, bu, bv, rows_b)
-              + int.from_bytes(zero * (rows * row), "little"))
+    biased = value + int.from_bytes(zero * (rows * row), "little")
+    if biased < 0 or biased.bit_length() > 8 * width * rows * row:
+        return None
     data = biased.to_bytes(rows * row * width, "little")
+    last = lu + cols * su
     out: dict[Exponents, int] = {}
     at = 0
-    for ev in range(av + bv, av + bv + rows * sv, sv):
-        for eu in range(au + bu, au + bu + row * su, su):
+    for ev in range(lv, lv + rows * sv, sv):
+        for eu in range(lu, lu + row * su, su):
             digit = data[at:at + width]
             if digit != zero:
+                if eu >= last:
+                    return None
                 out[(eu, ev)] = int.from_bytes(digit, "little") - half
             at += width
     return out
+
+
+def _width(bound: int) -> int:
+    """Bytes of a digit that holds every int of magnitude <= bound, sign included."""
+    return bound.bit_length() // 8 + 1
+
+
+def _mul_kronecker(a: dict[Exponents, int], b: dict[Exponents, int], grid) -> dict[Exponents, int]:
+    """Product of two nonzero term maps by Kronecker substitution on `_grid(a, b)`.
+
+    The row spans the product's reduced u-range, so no digit of the product
+    wraps into the next row.  Every product coefficient is a sum of at most
+    min(#a, #b) terms, each bounded by max|a| * max|b|; the digit width
+    holds that bound plus a sign bit.  The two packed ints are multiplied
+    once and the product is unpacked.  The packed ints span the product's
+    whole exponent box, so the cost follows the box; `Poly2.__mul__` takes
+    this path only when the box has no more digits than the dict loop has
+    term pairs.
+    """
+    low_a, low_b, step, span_a, span_b = grid
+    row = span_a[0] + span_b[0] + 1
+    rows = span_a[1] + span_b[1] + 1
+    width = _width(min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values())))
+    low = (low_a[0] + low_b[0], low_a[1] + low_b[1])
+    product = (_pack(a, low_a, step, row, span_a[1] + 1, width)
+               * _pack(b, low_b, step, row, span_b[1] + 1, width))
+    return _unpack(product, low, step, row, rows, row, width)
 
 
 def _coerce(x: "Poly2 | int") -> Poly2:
@@ -283,37 +335,71 @@ def z_pow(k: int) -> Poly2:
 def exact_div(a: Poly2, b: Poly2) -> Poly2:
     """Quotient c with c*b == a, when b divides a exactly in Z[u, v].
 
-    Runs long division by the leading term of b under the graded-lex order.
-    When b | a, every reduction step follows the cofactor's leading term, so
-    the loop terminates with remainder zero.  Any stuck step (monomial or
-    integer coefficient not divisible, or nonzero remainder with a smaller
-    leading monomial) proves non-divisibility and raises.
+    Packed division in the Kronecker layout of the multiply.  After the
+    shift by each operand's minimum and the division by the common stride,
+    the quotient's reduced u- and v-ranges are those of a minus those of b;
+    a lowest monomial of a not divisible by that of b, or a b spanning more
+    than a, raises at once.  Then a and b are packed at digit width w, with
+    rows as wide as a's u-range, and one `divmod` gives the quotient.  The
+    packing is a ring map to Z, so b | a implies that the packed b divides
+    the packed a, and a nonzero remainder raises.  The quotient is unpacked
+    in balanced digits, which are the quotient's coefficients when w holds
+    them, and certified exactly: packed at a width that holds every
+    coefficient of c*b and of a, c*b and a are equal ints only if they are
+    equal polynomials.  A failed certificate doubles w.
+
+    A true quotient c is a divisor of degree at most d of the packed a (read
+    as a polynomial in X = 2**(8w)), so by Mignotte's inequality (M.
+    Mignotte, "An inequality about factors of polynomials", Math. Comp.
+    1974) its coefficients are at most 2**d * ||a||_2.  Once w holds twice
+    that bound, a true quotient unpacks with every digit below a quarter of
+    the digit range and passes its certificate, so anything else raises.
+    Below that width a quotient with a digit in the top quarter is taken as
+    wrapped and w doubles without a certificate.
     """
     if b.is_zero:
         raise ExactDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
-    (bu, bv), bc = b.leading()
-    b_terms = list(b._terms.items())
-    rem = dict(a._terms)
-    quot: dict[Exponents, int] = {}
-    while rem:
-        e = max(rem, key=_order_key)
-        eu, ev = e[0] - bu, e[1] - bv
-        if eu < 0 or ev < 0:
-            raise ExactDivisionError(f"leading monomial {e} not divisible")
-        c, r = divmod(rem[e], bc)
-        if r:
-            raise ExactDivisionError(f"coefficient {rem[e]} not divisible by {bc}")
-        quot[(eu, ev)] = c
-        for (tu, tv), tc in b_terms:
-            k = (eu + tu, ev + tv)
-            s = rem.get(k, 0) - c * tc
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
-    return Poly2._raw(quot)
+    ta, tb = a._terms, b._terms
+    low_a, low_b, step, span_a, span_b = _grid(ta, tb)
+    low = (low_a[0] - low_b[0], low_a[1] - low_b[1])
+    if low[0] < 0 or low[1] < 0:
+        raise ExactDivisionError(f"lowest monomial {low_a} not divisible by {low_b}")
+    row = span_a[0] + 1
+    cols = span_a[0] - span_b[0] + 1
+    rows = span_a[1] - span_b[1] + 1
+    if cols < 1 or rows < 1:
+        raise ExactDivisionError("divisor spans more than the dividend")
+    rows_a, rows_b = span_a[1] + 1, span_b[1] + 1
+    a_max = max(map(abs, ta.values()))
+    b_max = max(map(abs, tb.values()))
+    norm = isqrt(sum(c * c for c in ta.values())) + 1  # exceeds ||a||_2
+    cap = _width(norm << ((rows - 1) * row + cols))  # 2**d * norm, doubled
+    width = _width(b_max)
+    while True:
+        quot, rem = divmod(_pack(ta, low_a, step, row, rows_a, width),
+                           _pack(tb, low_b, step, row, rows_b, width))
+        if rem:
+            raise ExactDivisionError("packed remainder is nonzero")
+        tc = _unpack(quot, low, step, row, rows, cols, width)
+        del quot
+        # None or empty: no quotient fits the box at this width.
+        if tc:
+            c_max = max(map(abs, tc.values()))
+            if 4 * c_max < 1 << (8 * width):
+                # At a width that holds every coefficient of tc*b and of a,
+                # the certificate is quot * pb == pa, which the divmod has
+                # shown, since tc packs back to quot; a wider one is packed
+                # and checked.
+                sure = _width(max(min(len(tc), len(tb)) * c_max * b_max, a_max))
+                if sure <= width or (_pack(tc, low, step, row, rows, sure)
+                                     * _pack(tb, low_b, step, row, rows_b, sure)
+                                     == _pack(ta, low_a, step, row, rows_a, sure)):
+                    return Poly2._raw(tc)
+        if width >= cap:
+            raise ExactDivisionError("no quotient passed its certificate at the Mignotte width")
+        width = min(2 * width, cap)
 
 
 def eval_u1(a: Poly2) -> Poly2:

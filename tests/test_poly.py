@@ -1,11 +1,13 @@
 """Ring axioms, canonical form, and fraction-field behavior of Poly2/RatFunc."""
 
+import math
 import re
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qlehmer import poly
 from qlehmer.lehmer import lambda_rec
 from qlehmer.poly import (
     KRONECKER_MIN_TERMS,
@@ -25,6 +27,7 @@ from qlehmer.poly import (
     to_text,
     z_pow,
 )
+from qlehmer.qcomb import poch_qq
 
 U = Poly2.monomial(1, 1, 0)
 V = Poly2.monomial(1, 0, 1)
@@ -56,6 +59,13 @@ def wide_polys(draw):
     coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**200, 2**200)).filter(bool)
     return Poly2({(low_u + step_u * (k % span_u), low_v + step_v * (k // span_u)): draw(coeffs)
                   for k in cells})
+
+
+def kronecker(a, b):
+    """The packed product's term map, from the kernel itself, so that the size
+    guard in `Poly2.__mul__` cannot route the operands to the dict loop."""
+    ta, tb = a.terms, b.terms
+    return poly._mul_kronecker(ta, tb, poly._grid(ta, tb))
 
 
 def schoolbook(a, b):
@@ -236,6 +246,7 @@ def test_kronecker_product_matches_schoolbook(a, b):
     product = a * b
     assert product == schoolbook(a, b)
     assert all(c != 0 for c in product.terms.values())
+    assert kronecker(a, b) == product.terms
 
 
 @given(wide_polys(), st.integers(1, 3), st.integers(0, 2), st.integers(KRONECKER_MIN_TERMS, 30))
@@ -249,6 +260,7 @@ def test_kronecker_product_cancels(c, step_u, step_v, m):
     product = a * geometric
     assert product == schoolbook(c, ONE - x ** m)
     assert all(coeff != 0 for coeff in product.terms.values())
+    assert kronecker(a, geometric) == product.terms
 
 
 def test_kronecker_digit_width_holds_the_tight_bound():
@@ -268,6 +280,83 @@ def test_large_lambda_product_matches_evaluation():
     assert len(lam[31].terms) >= KRONECKER_MIN_TERMS
     for q, z in [(2, 3), (-3, 2), (5, -7), (1, -1), (-2, -5), (7, 11)]:
         assert eval_qz(product, q, z) == eval_qz(lam[31], q, z) * eval_qz(lam[32], q, z)
+
+
+def test_sparse_operands_take_the_dict_loop(monkeypatch):
+    # The packed box of this square has two million digits for 100 term
+    # pairs, so the product must not be packed.
+    def refuse(*args):
+        raise AssertionError("sparse product was packed")
+
+    sparse = Poly2({**{(i, 0): 1 for i in range(9)}, (10**6, 0): 1})
+    assert len(sparse.terms) >= KRONECKER_MIN_TERMS
+    monkeypatch.setattr(poly, "_mul_kronecker", refuse)
+    assert sparse * sparse == schoolbook(sparse, sparse)
+    lam = lambda_rec(22)
+    with pytest.raises(AssertionError, match="packed"):
+        lam[21] * lam[22]
+
+
+# -- exact division, packed in the multiply's layout ---------------------------
+
+
+# CPython 3.10 and 3.11 divide ints in time quadratic in their length, and a
+# sparse operand with 200-bit coefficients packs into tens of kilobytes, so
+# each example costs up to 0.1 s and the examples are few.
+@settings(max_examples=12, deadline=None)
+@given(wide_polys(), wide_polys())
+def test_exact_div_inverts_wide_products(a, b):
+    assert exact_div(a * b, b) == a
+
+
+@settings(max_examples=8, deadline=None)
+@given(wide_polys(), wide_polys(), st.integers(1, 2**64), st.integers(0, 60),
+       st.integers(0, 30))
+def test_exact_div_rejects_product_plus_monomial(a, b, c, eu, ev):
+    # b has at least 10 terms, so it divides no monomial, and hence not a*b + m.
+    with pytest.raises(ExactDivisionError):
+        exact_div(a * b + Poly2.monomial(c, eu, ev), b)
+
+
+def gaussian_binomial_at(n, k, q):
+    """[n k] at an integer q != 1, from the product formula in integers."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_quotient_outgrows_its_operands():
+    # [80 20]_q has 54-bit coefficients while (q;q)_80 has 19-bit ones, so
+    # the first digit widths cannot hold the quotient.
+    a, b = poch_qq(80), poch_qq(20) * poch_qq(60)
+    c = exact_div(a, b)
+    bits = max(abs(x).bit_length() for x in c.terms.values())
+    assert bits == 54
+    assert bits > max(abs(x).bit_length() for x in (*a.terms.values(), *b.terms.values()))
+    assert len(c.terms) == 20 * 60 + 1 and c.deg_u() == 2 * 20 * 60
+    assert eval_qz(c, 1, 1) == math.comb(80, 20)
+    for q in (2, -3, 5):
+        assert eval_qz(c, q, 1) == gaussian_binomial_at(80, 20, q)
+
+
+@pytest.mark.parametrize("a, b, reason", [
+    (Poly2({(0, 0): 2, (1, 0): 1}), Poly2.constant(2), "certificate"),  # coefficient 1 of u
+    (Poly2({(0, 0): 6, (2, 2): 3, (4, 0): 9}), Poly2({(0, 0): 2, (2, 0): 4}), None),  # 3 by 2
+    (Poly2({(1, 0): 1, (5, 2): 1}), Poly2({(2, 0): 1, (3, 0): 1}), "lowest monomial"),
+    (Poly2({(3, 0): 1, (5, 2): 1}), Poly2({(0, 1): 1, (2, 3): 1}), "lowest monomial"),
+    (ONE + U ** 3, ONE + U ** 4, "spans more"),                   # divisor wider in u
+    (ONE + U * V, ONE + V ** 2, "spans more"),                    # divisor spans more rows
+    # Rows of 4 digits: u^3 + v packs to X^3 + X^4 = X^3 * (1 + X), but the
+    # quotient's digit X^3 lies in a column that no quotient by 1 + u reaches.
+    (U ** 3 + V, ONE + U, "certificate"),
+])
+def test_exact_div_rejects_non_divisible(a, b, reason):
+    # The lowest-monomial and span checks raise before any packing; the
+    # certificate cases need the Mignotte cap to end.
+    with pytest.raises(ExactDivisionError, match=reason):
+        exact_div(a, b)
 
 
 @given(polys, polys)

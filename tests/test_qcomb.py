@@ -55,8 +55,8 @@ class TestGaussPascal:
         assert eval_qz(gauss_pascal(5, 2), 1, 1) == math.comb(5, 2)
 
 
-def test_pascal_equals_product_up_to_16():
-    for n in range(17):
+def test_pascal_equals_product_up_to_32():
+    for n in range(33):
         for k in range(-1, n + 2):
             assert gauss_pascal(n, k) == gauss_product(n, k), (n, k)
 
