@@ -7,6 +7,10 @@ size cap is set by measurement:
 * `qlehmer verify` refuses n > 48 (`cli.VERIFY_MAX_N`).  Its cost grows
   about as n^6; on a shared 2-core host `verify 40` took 7 s and `verify 48`
   22 s.
+* `qlehmer det` and `qlehmer lambda` refuse n > 160 (`cli.CLOSED_MAX_N`):
+  `lambda_rec` keeps every lam(j), so memory grows about as n^4, and
+  `det 160 --json` took 9.6 s and 605 MB.  `qlehmer lu` prints every lam(j)
+  three times and refuses n > 80 (`cli.LU_MAX_N`; 6.4 s, 470 MB with --json).
 * The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
   product check n <= 16) so that it stays fast; since large products go
   through Kronecker substitution these routes take well under a second there.
@@ -16,7 +20,10 @@ size cap is set by measurement:
   packing and unpacking of the entries, not in a leading-term scan (4.3 s
   at n = 22 before).
 
-The kernel table times one product lam(n-1) * lam(n) per size, and the
+The recursion table times `lambda_rec(n)`, the route behind `qlehmer det`
+and `qlehmer lambda`, and apart from it the last step's two kernels: the
+monomial shift z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The
+kernel table times one product lam(n-1) * lam(n) per size, and the
 division table one exact division per row: the Gaussian binomials [80 20]_q
 and [64 32]_q as q-Pochhammer quotients, and Bareiss on M(16) and M(22).
 Each row records the result's term count and largest coefficient in bits,
@@ -29,9 +36,10 @@ import time
 
 from qlehmer.lehmer import closed_factors, det_closed, lambda_rec, lehmer_matrix
 from qlehmer.linalg import det_bareiss, det_cofactor, lu_generic, product_check
-from qlehmer.poly import exact_div
+from qlehmer.poly import exact_div, q_pow, z_pow
 from qlehmer.qcomb import poch_qq
 
+RECURSION_SIZES = (64, 96, 112, 128)
 KERNEL_SIZES = (8, 16, 22, 32, 48, 64)
 DIVISION_SIZES = ((80, 20), (64, 32))
 BAREISS_SIZES = (16, 22)
@@ -43,6 +51,29 @@ def timed(fn):
     return time.perf_counter() - start
 
 
+def coeff_bits(p) -> int:
+    return max(abs(c).bit_length() for c in p.terms.values())
+
+
+def recursion_table() -> None:
+    """lambda_rec(n), then the last step's shift and subtraction on its table."""
+    print(f"{'n':>3} {'lambda_rec':>10} {'shift':>7} {'subtract':>8} {'terms':>7} {'bits':>5}")
+    for n in RECURSION_SIZES:
+        start = time.perf_counter()
+        lam = lambda_rec(n)
+        t_rec = time.perf_counter() - start
+        step = z_pow(1) * q_pow(n - 2)
+        start = time.perf_counter()
+        shifted = step * lam[n - 2]
+        t_shift = time.perf_counter() - start
+        start = time.perf_counter()
+        last = lam[n - 1] - shifted
+        t_sub = time.perf_counter() - start
+        assert last == lam[n]
+        print(f"{n:>3} {t_rec:10.3f} {t_shift:7.4f} {t_sub:8.4f} "
+              f"{len(last.terms):>7} {coeff_bits(last):>5}")
+
+
 def kernel_table() -> None:
     lam = lambda_rec(max(KERNEL_SIZES))
     print(f"{'n':>3} {'lam(n-1)*lam(n)':>16} {'terms':>7} {'bits':>5}")
@@ -50,8 +81,7 @@ def kernel_table() -> None:
         start = time.perf_counter()
         product = lam[n - 1] * lam[n]
         seconds = time.perf_counter() - start
-        bits = max(abs(c).bit_length() for c in product.terms.values())
-        print(f"{n:>3} {seconds:16.4f} {len(product.terms):>7} {bits:>5}")
+        print(f"{n:>3} {seconds:16.4f} {len(product.terms):>7} {coeff_bits(product):>5}")
 
 
 def division_table() -> None:
@@ -70,8 +100,7 @@ def division_table() -> None:
         rows.append((f"det_bareiss n={n}", time.perf_counter() - start, det))
     print(f"{'division':<22} {'seconds':>8} {'terms':>7} {'bits':>5}")
     for name, seconds, result in rows:
-        bits = max(abs(c).bit_length() for c in result.terms.values())
-        print(f"{name:<22} {seconds:8.4f} {len(result.terms):>7} {bits:>5}")
+        print(f"{name:<22} {seconds:8.4f} {len(result.terms):>7} {coeff_bits(result):>5}")
 
 
 def main() -> None:
@@ -82,6 +111,8 @@ def main() -> None:
                         help="separate cap for the dense fraction-free route")
     args = parser.parse_args()
 
+    recursion_table()
+    print()
     kernel_table()
     print()
     division_table()

@@ -23,25 +23,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Largest n that `verify` accepts.  The checks cost about n^6: on a shared
-# 2-core host `verify 40` takes 7 s and `verify 48` 22 s, while `verify 64`
-# would run for minutes, so larger n is refused before any work starts.
-VERIFY_MAX_N = 48
-
-
-def _verify_size(text: str) -> int:
-    value = _positive_int(text)
-    if value > VERIFY_MAX_N:
-        raise argparse.ArgumentTypeError(
-            f"verify is limited to n <= {VERIFY_MAX_N} (its cost grows about as n^6), got {text}")
-    return value
-
-
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
     return value
+
+
+# Largest sizes the verbs accept; larger ones are refused with exit 2 before
+# any work starts.  Times and peak memory are from a shared 2-core host.
+#
+# `verify`: the checks cost about n^6; `verify 40` takes 7 s and `verify 48`
+# 22 s, while `verify 64` would run for minutes.
+VERIFY_MAX_N = 48
+# `det` and `lambda`: `lambda_rec` keeps every lam(j), j <= n, so memory grows
+# about as n^4; `det 128 --json` takes 3.3 s and 257 MB, `det 160 --json`
+# 9.6 s and 605 MB, and `det 300` would need minutes and gigabytes.
+CLOSED_MAX_N = 160
+# `lu`: prints every lam(j), j < n, three times (a numerator of U and two
+# denominators), so its output outgrows `det`'s; `lu 80` takes 6.4 s and
+# 139 MB (34 MB of text), `lu 80 --json` 7.0 s and 470 MB, `lu 96` 13.6 s.
+LU_MAX_N = 80
+
+
+def _capped(parse, cap: int, verb: str, why: str):
+    """An argparse type: `parse`, then refuse values above `cap`."""
+    def size(text: str) -> int:
+        value = parse(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(
+                f"{verb} is limited to n <= {cap} ({why}), got {text}")
+        return value
+    size.__name__ = parse.__name__  # argparse names the type in its messages
+    return size
 
 
 def _emit_json(obj) -> None:
@@ -167,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_json(sub.add_parser("lambda", help="the determinant polynomial lam(j)"))
-    p.add_argument("j", type=_nonneg_int)
+    p.add_argument("j", type=_capped(_nonneg_int, CLOSED_MAX_N, "lambda",
+                                     "memory grows about as n^4"))
     p.set_defaults(func=_cmd_lambda)
 
     p = with_json(sub.add_parser("matrix", help="the n x n Lehmer matrix bands"))
@@ -175,15 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix)
 
     p = with_json(sub.add_parser("det", help="closed-form determinant of M(n)"))
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_capped(_positive_int, CLOSED_MAX_N, "det",
+                                     "memory grows about as n^4"))
     p.set_defaults(func=_cmd_det)
 
     p = with_json(sub.add_parser("lu", help="closed-form LU factors of M(n)"))
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_capped(_positive_int, LU_MAX_N, "lu",
+                                     "it prints every lam(j) three times"))
     p.set_defaults(func=_cmd_lu)
 
     p = sub.add_parser("verify", help="run the independent oracles against the closed forms")
-    p.add_argument("n", type=_verify_size)
+    p.add_argument("n", type=_capped(_positive_int, VERIFY_MAX_N, "verify",
+                                     "its cost grows about as n^6"))
     p.set_defaults(func=_cmd_verify)
 
     p = with_json(sub.add_parser("qbinom", help="Gaussian q-binomial coefficient"))

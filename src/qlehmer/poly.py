@@ -12,11 +12,18 @@ determinant elimination is harmless.  The zero polynomial is the empty map.
 The term order used for printing is graded lexicographic on
 (eu + ev, eu, ev).
 
-Multiplication takes one of two paths.  When the smaller operand has fewer
-than `KRONECKER_MIN_TERMS` terms (always the case for the monomial shifts of
-the recursions), or when the product's exponent box has more digits than
-there are term pairs, it runs the dict convolution over all term pairs.
-Otherwise it uses Kronecker substitution: both operands are packed into
+Subtraction copies the minuend and subtracts the other operand's terms in
+one pass, deleting any that cancel; it does not negate first.
+
+Multiplication takes one of three paths.  When the smaller operand is a
+monomial, as in the shifts z q^(j-2) * lam(j-2) of the recursions, the
+product is the other operand's term map with every exponent shifted and
+every coefficient scaled, built in one dict comprehension: a shift is
+injective on exponents, so no two terms merge and none becomes zero.  When
+the smaller operand has fewer than `KRONECKER_MIN_TERMS` terms, or when the
+product's exponent box has more digits than there are term pairs, it runs
+the dict convolution over all term pairs.  Otherwise it uses Kronecker
+substitution: both operands are packed into
 single ints, multiplied once by CPython's bigint multiply, and the product
 is unpacked.  Before packing, each variable's exponents are shifted by the
 operand's minimum and divided by the gcd of the offsets, so the all-even
@@ -139,10 +146,18 @@ class Poly2:
         return Poly2._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Poly2 | int") -> "Poly2":
-        return self + (-_coerce(other))
+        # One pass over other's terms; no negated copy of other is built.
+        out = dict(self._terms)
+        for e, c in _coerce(other)._terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return Poly2._raw(out)
 
     def __rsub__(self, other: "Poly2 | int") -> "Poly2":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other: "Poly2 | int") -> "Poly2":
         other = _coerce(other)
@@ -151,6 +166,13 @@ class Poly2:
             return Poly2._raw({})
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # A monomial shift is injective on exponents and c * x != 0, so
+            # the shifted map is canonical as it stands.
+            ((du, dv), c), = a.items()
+            if c == 1:
+                return Poly2._raw({(eu + du, ev + dv): x for (eu, ev), x in b.items()})
+            return Poly2._raw({(eu + du, ev + dv): c * x for (eu, ev), x in b.items()})
         if len(a) >= KRONECKER_MIN_TERMS:
             grid = _grid(a, b)
             _, _, _, span_a, span_b = grid

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -108,6 +109,36 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
     assert exc.value.code == 2
     assert f"n <= {cli.VERIFY_MAX_N}" in capsys.readouterr().err
     assert cli.build_parser().parse_args(["verify", str(cli.VERIFY_MAX_N)]).n == cli.VERIFY_MAX_N
+
+
+@pytest.mark.parametrize("verb, size, cap", [
+    ("det", "161", 160),
+    ("lambda", "161", 160),
+    ("lu", str(cli.LU_MAX_N + 1), cli.LU_MAX_N),
+])
+def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError(f"{verb} computed past its cap")
+
+    for name in ("lambda_rec", "det_closed", "closed_factors"):
+        monkeypatch.setattr(cli.lehmer, name, forbidden)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(verb, size)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.code == 2
+    assert f"{verb} is limited to n <= {cap}" in capsys.readouterr().err
+
+
+def test_closed_caps_admit_the_benchmarked_sizes():
+    # 128 is the largest det the benchmark's own tests run; 112 and 96 are
+    # the sizes of its workload.  Parse only: nothing is computed.
+    parser = cli.build_parser()
+    for n in (96, 112, 128, cli.CLOSED_MAX_N):
+        assert parser.parse_args(["det", str(n), "--json"]).n == n
+        assert parser.parse_args(["lambda", str(n)]).j == n
+    assert parser.parse_args(["lu", str(cli.LU_MAX_N)]).n == cli.LU_MAX_N
+    assert parser.parse_args(["lambda", "0"]).j == 0
 
 
 @pytest.mark.parametrize("argv", [

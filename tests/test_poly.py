@@ -233,6 +233,70 @@ def test_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+# -- the one-pass kernels: monomial shift and direct subtraction --------------
+
+
+def canonical(p):
+    return all(c != 0 for c in p.terms.values())
+
+
+# Monomials with any exponents and a coefficient of 1, -1, a small value or
+# one of about 2**200 (the c != 1 branch must scale, the c == 1 one copy).
+monomials = st.builds(
+    Poly2.monomial,
+    st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool),
+              st.integers(2**199, 2**201).map(lambda c: c if c % 2 else -c)),
+    st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+@settings(deadline=None)
+@given(monomials, st.one_of(polys, wide_polys()))
+def test_monomial_shift_matches_schoolbook(m, p):
+    product = m * p
+    assert product == p * m == schoolbook(m, p)
+    assert canonical(product)
+
+
+@given(polys, polys)
+def test_subtraction_is_adding_the_negation(a, b):
+    difference = a - b
+    assert difference == a + (-b)
+    assert canonical(difference)
+    assert b - a == -difference
+    assert a - (a + b) == -b  # every term of a cancels
+
+
+@given(polys)
+def test_subtraction_of_self_cancels(p):
+    assert p - p == ZERO
+    assert (p + p) - p == p
+
+
+def test_subtraction_cases():
+    p = P({(0, 0): 5, (2, 1): -4, (3, 0): 1})
+    assert p - p == ZERO and (p - p).terms == {}
+    assert p - 3 == P({(0, 0): 2, (2, 1): -4, (3, 0): 1})
+    assert 3 - p == P({(0, 0): -2, (2, 1): 4, (3, 0): -1})
+    assert 5 - p == P({(2, 1): 4, (3, 0): -1})
+    assert 0 - p == -p == ZERO - p
+    assert p - 0 == p - ZERO == p
+    assert canonical(5 - p) and canonical(p - 5)
+
+
+def test_monomial_times_zero():
+    m = Poly2.monomial(-7, 3, 2)
+    assert m * ZERO == ZERO * m == ZERO
+    assert m * 0 == 0 * m == ZERO
+    assert (m * ZERO).terms == {}
+
+
+def test_monomial_shift_scales_and_moves_both_exponents():
+    p = P({(0, 0): 1, (2, 1): -3})
+    assert Poly2.monomial(1, 4, 5) * p == P({(4, 5): 1, (6, 6): -3})
+    assert p * Poly2.monomial(-2, 0, 1) == P({(0, 1): -2, (2, 2): 6})
+    assert 4 * p == P({(0, 0): 4, (2, 1): -12})
+
+
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
@@ -444,6 +508,8 @@ def malformed_json(draw):
     return {"vars": obj["vars"], "terms": terms}
 
 
+# No deadline: on a loaded host one example can pass the 200 ms default.
+@settings(deadline=None)
 @given(malformed_json())
 def test_from_json_rejects_every_defect(obj):
     with pytest.raises(ValueError):
