@@ -44,94 +44,91 @@ CLOSED_MAX_N = 160
 # denominators), so its output outgrows `det`'s; `lu 80` takes 6.4 s and
 # 139 MB (34 MB of text), `lu 80 --json` 7.0 s and 470 MB, `lu 96` 13.6 s.
 LU_MAX_N = 80
+# `qbinom`: `qbinom 176 88` takes 10.5 s and 162 MB, `qbinom 200 100` 18 s.
+QBINOM_MAX_N = 176
+# `stabilize`: the worst k is near n/6; `stabilize 220 36` takes 8.4 s and
+# 180 MB, `stabilize 256 52` 21 s.
+STABILIZE_MAX_N = 220
+# `limit`: z^k costs a series inversion of k passes over qdeg + 1 partition
+# counts, and z^k is zero once k(k-1) > qdeg; `limit --zdeg 60 --qdeg 10000`
+# takes 9.4 to 11 s and 175 MB.
+LIMIT_MAX_ZDEG = 60
+LIMIT_MAX_QDEG = 10000
+# `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
+# 3600` takes 8.7 s, `dyck 4000 4000` 12.8 s.
+DYCK_MAX_M = 3600
 
 
-def _capped(parse, cap: int, verb: str, why: str):
-    """An argparse type: `parse`, then refuse values above `cap`."""
+def _capped(parse, cap: int, verb: str, arg: str, why: str):
+    """An argparse type: `parse`, then refuse values of `arg` above `cap`."""
     def size(text: str) -> int:
         value = parse(text)
         if value > cap:
             raise argparse.ArgumentTypeError(
-                f"{verb} is limited to n <= {cap} ({why}), got {text}")
+                f"{verb} is limited to {arg} <= {cap} ({why}), got {text}")
         return value
     size.__name__ = parse.__name__  # argparse names the type in its messages
     return size
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj))
+def _print_poly(value, as_json: bool) -> None:
+    print(json.dumps(to_json_obj(value)) if as_json else to_text(value))
 
 
-def _poly_lines(label: str, polys) -> str:
-    return f"{label}: " + ", ".join(to_text(p) for p in polys)
-
-
-def _rat_lines(label: str, rats) -> str:
-    return f"{label}: " + ", ".join(str(r) for r in rats)
+def _line(label: str, values) -> str:
+    return f"{label}: " + ", ".join(str(v) for v in values)
 
 
 def _cmd_lambda(args) -> int:
-    value = lehmer.lambda_rec(args.j)[args.j]
-    if args.json:
-        _emit_json(to_json_obj(value))
-    else:
-        print(to_text(value))
+    _print_poly(lehmer.lambda_rec(args.j)[args.j], args.json)
     return 0
 
 
 def _cmd_matrix(args) -> int:
     m = lehmer.lehmer_matrix(args.n)
     if args.json:
-        _emit_json({"n": m.n,
-                    "diag": [to_json_obj(p) for p in m.diag],
-                    "super": [to_json_obj(p) for p in m.superdiag],
-                    "sub": [to_json_obj(p) for p in m.subdiag]})
+        print(json.dumps({"n": m.n,
+                          "diag": [to_json_obj(p) for p in m.diag],
+                          "super": [to_json_obj(p) for p in m.superdiag],
+                          "sub": [to_json_obj(p) for p in m.subdiag]}))
     else:
         print(f"n: {m.n}")
-        print(_poly_lines("diag", m.diag))
-        print(_poly_lines("super", m.superdiag))
-        print(_poly_lines("sub", m.subdiag))
+        print(_line("diag", m.diag))
+        print(_line("super", m.superdiag))
+        print(_line("sub", m.subdiag))
     return 0
 
 
 def _cmd_det(args) -> int:
-    value = lehmer.det_closed(args.n)
-    if args.json:
-        _emit_json(to_json_obj(value))
-    else:
-        print(to_text(value))
+    _print_poly(lehmer.det_closed(args.n), args.json)
     return 0
 
 
 def _cmd_lu(args) -> int:
     f = lehmer.closed_factors(args.n)
     if args.json:
-        _emit_json({"n": f.n,
-                    "u_diag": [ratfunc_to_json_obj(r) for r in f.u_diag],
-                    "u_super": [to_json_obj(p) for p in f.u_super],
-                    "l_sub": [ratfunc_to_json_obj(r) for r in f.l_sub]})
+        print(json.dumps({"n": f.n,
+                          "u_diag": [ratfunc_to_json_obj(r) for r in f.u_diag],
+                          "u_super": [to_json_obj(p) for p in f.u_super],
+                          "l_sub": [ratfunc_to_json_obj(r) for r in f.l_sub]}))
     else:
         print(f"n: {f.n}")
-        print(_rat_lines("u_diag", f.u_diag))
-        print(_poly_lines("u_super", f.u_super))
-        print(_rat_lines("l_sub", f.l_sub))
+        print(_line("u_diag", f.u_diag))
+        print(_line("u_super", f.u_super))
+        print(_line("l_sub", f.l_sub))
     return 0
 
 
 def _cmd_qbinom(args) -> int:
-    value = gauss_product(args.n, args.k)
-    if args.json:
-        _emit_json(to_json_obj(value))
-    else:
-        print(to_text(value))
+    _print_poly(gauss_product(args.n, args.k), args.json)
     return 0
 
 
 def _cmd_limit(args) -> int:
     s = series.limit_det(args.zdeg, args.qdeg)
     if args.json:
-        _emit_json({"z_trunc": s.z_trunc, "q_trunc": s.q_trunc,
-                    "coeffs": [to_json_obj(c) for c in s.coeffs]})
+        print(json.dumps({"z_trunc": s.z_trunc, "q_trunc": s.q_trunc,
+                          "coeffs": [to_json_obj(c) for c in s.coeffs]}))
     else:
         print(str(s))
     return 0
@@ -155,13 +152,13 @@ def _cmd_dyck(args) -> int:
 def _cmd_verify(args) -> int:
     m = lehmer.lehmer_matrix(args.n)
     f = lehmer.closed_factors(args.n)
+    det = lehmer.det_closed(args.n)
     checks = [
         ("lu_generic rediscovers closed factors", linalg.lu_generic(m) == f),
         ("product L*U equals matrix", bool(linalg.product_check(f, m))),
         ("continuant det equals closed det",
-         linalg.det_cofactor(m) == lehmer.det_closed(args.n)),
-        ("closed sum equals recursion det",
-         lehmer.lambda_sum(args.n) == lehmer.det_closed(args.n)),
+         linalg.det_cofactor(m) == det),
+        ("closed sum equals recursion det", lehmer.lambda_sum(args.n) == det),
     ]
     all_ok = True
     for name, ok in checks:
@@ -181,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_json(sub.add_parser("lambda", help="the determinant polynomial lam(j)"))
-    p.add_argument("j", type=_capped(_nonneg_int, CLOSED_MAX_N, "lambda",
+    p.add_argument("j", type=_capped(_nonneg_int, CLOSED_MAX_N, "lambda", "n",
                                      "memory grows about as n^4"))
     p.set_defaults(func=_cmd_lambda)
 
@@ -190,37 +187,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix)
 
     p = with_json(sub.add_parser("det", help="closed-form determinant of M(n)"))
-    p.add_argument("n", type=_capped(_positive_int, CLOSED_MAX_N, "det",
+    p.add_argument("n", type=_capped(_positive_int, CLOSED_MAX_N, "det", "n",
                                      "memory grows about as n^4"))
     p.set_defaults(func=_cmd_det)
 
     p = with_json(sub.add_parser("lu", help="closed-form LU factors of M(n)"))
-    p.add_argument("n", type=_capped(_positive_int, LU_MAX_N, "lu",
+    p.add_argument("n", type=_capped(_positive_int, LU_MAX_N, "lu", "n",
                                      "it prints every lam(j) three times"))
     p.set_defaults(func=_cmd_lu)
 
     p = sub.add_parser("verify", help="run the independent oracles against the closed forms")
-    p.add_argument("n", type=_capped(_positive_int, VERIFY_MAX_N, "verify",
+    p.add_argument("n", type=_capped(_positive_int, VERIFY_MAX_N, "verify", "n",
                                      "its cost grows about as n^6"))
     p.set_defaults(func=_cmd_verify)
 
     p = with_json(sub.add_parser("qbinom", help="Gaussian q-binomial coefficient"))
-    p.add_argument("n", type=_nonneg_int)
+    p.add_argument("n", type=_capped(_nonneg_int, QBINOM_MAX_N, "qbinom", "n",
+                                     "its cost grows about as n^5"))
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_qbinom)
 
     p = with_json(sub.add_parser("limit", help="the infinite-size limit determinant series"))
-    p.add_argument("--zdeg", type=_nonneg_int, required=True, help="z truncation order")
-    p.add_argument("--qdeg", type=_nonneg_int, required=True, help="q truncation order")
+    p.add_argument("--zdeg", required=True, help="z truncation order",
+                   type=_capped(_nonneg_int, LIMIT_MAX_ZDEG, "limit", "--zdeg",
+                                "each z^k inverts (q;q)_k"))
+    p.add_argument("--qdeg", required=True, help="q truncation order",
+                   type=_capped(_nonneg_int, LIMIT_MAX_QDEG, "limit", "--qdeg",
+                                "each z^k line holds qdeg + 1 terms"))
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("stabilize", help="q-degree through which det M(n) agrees with the limit at z^k")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_capped(_positive_int, STABILIZE_MAX_N, "stabilize", "n",
+                                     "it divides (q;q)_(n-k) exactly"))
     p.add_argument("k", type=_nonneg_int)
     p.set_defaults(func=_cmd_stabilize)
 
     p = sub.add_parser("dyck", help="bounded-height Dyck path count")
-    p.add_argument("m", type=_nonneg_int, help="half-length")
+    p.add_argument("m", help="half-length",
+                   type=_capped(_nonneg_int, DYCK_MAX_M, "dyck", "m",
+                                "its cost grows about as m^3"))
     p.add_argument("h", type=_nonneg_int, help="height bound")
     p.set_defaults(func=_cmd_dyck)
 

@@ -57,43 +57,28 @@ class Series2:
         return "\n".join(f"z^{k}: {to_text(c)}" for k, c in enumerate(self.coeffs))
 
 
-def _q_coeff_list(p: Poly2, upto: int) -> list[int]:
-    """Dense coefficient list [q^0 .. q^upto] of a pure q-polynomial."""
-    out = [0] * (upto + 1)
-    for (eu, ev), c in p.iter_terms():
-        if ev:
-            raise ValueError("not a polynomial in q alone")
-        if eu % 2:
-            raise ValueError(f"odd u-exponent {eu}")
-        if eu // 2 <= upto:
-            out[eu // 2] = c
-    return out
-
-
-def _q_poly(coeffs: list[int]) -> Poly2:
-    return Poly2({(2 * d, 0): c for d, c in enumerate(coeffs)})
-
-
 def invert_poch(k: int, trunc: int) -> Poly2:
     """Power-series inverse of (q;q)_k truncated at q-degree `trunc`.
 
-    Computed by the linear recurrence for reciprocals of a unit-constant
-    series, then certified on the spot: the product with (q;q)_k must be 1
-    modulo q^(trunc+1).
+    1/(q;q)_k is the product over parts i <= k of 1/(1 - q^i) =
+    1 + q^i + q^(2i) + ..., the generating function of partitions into
+    parts <= k.  Multiplying a series a by 1/(1 - q^i) modulo q^(trunc+1)
+    is the recurrence a[d] += a[d - i] for d = i..trunc in increasing
+    order: a[d - i] has already become sum over j >= 0 of a[d - i - j*i],
+    so a[d] becomes sum over j >= 0 of a[d - j*i].  One such pass per part
+    builds the inverse in O(k*trunc) steps without reading (q;q)_k.
+
+    The result is certified on the spot against the independently built
+    product `poch_qq(k)`: the two must multiply to 1 modulo q^(trunc+1).
     """
     if k < 0 or trunc < 0:
         raise ValueError("arguments must be nonnegative")
-    p = poch_qq(k)
-    pc = _q_coeff_list(p, min(p.deg_u() // 2, trunc))
-    inv = [0] * (trunc + 1)
-    inv[0] = 1
-    for d in range(1, trunc + 1):
-        acc = 0
-        for i in range(1, min(d, len(pc) - 1) + 1):
-            acc += pc[i] * inv[d - i]
-        inv[d] = -acc
-    result = _q_poly(inv)
-    check = result * p
+    inv = [1] + [0] * trunc
+    for part in range(1, k + 1):
+        for d in range(part, trunc + 1):
+            inv[d] += inv[d - part]
+    result = Poly2({(2 * d, 0): c for d, c in enumerate(inv)})
+    check = result * poch_qq(k)
     residue = Poly2({e: c for e, c in check.iter_terms() if e[0] <= 2 * trunc})
     if residue != ONE:
         raise ArithmeticError(f"series inversion failed certification for k={k}")
@@ -112,8 +97,7 @@ def limit_det(z_trunc: int, q_trunc: int) -> Series2:
             coeffs.append(Poly2.constant(0))
             continue
         body = invert_poch(k, q_trunc - shift)
-        signed = body if k % 2 == 0 else -body
-        coeffs.append(Poly2.monomial(1, 2 * shift, 0) * signed)
+        coeffs.append(Poly2.monomial((-1) ** k, 2 * shift, 0) * body)
     return Series2(z_trunc=z_trunc, q_trunc=q_trunc, coeffs=tuple(coeffs))
 
 
@@ -159,10 +143,14 @@ def dyck_count(m: int, h: int) -> int:
     exhaustive dynamic programming over (step, current height).
 
     This is the oracle side of the generating-function check, so it stays
-    deliberately free of any series machinery.
+    deliberately free of any series machinery.  A path of half-length m has
+    m up-steps, so it never rises above height m; a bound h > m therefore
+    counts the same paths as h = m, and the DP runs over min(h, m) + 1
+    heights.
     """
     if m < 0 or h < 0:
         raise ValueError("arguments must be nonnegative")
+    h = min(h, m)
     ways = [0] * (h + 1)
     ways[0] = 1
     for _ in range(2 * m):

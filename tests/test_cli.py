@@ -141,6 +141,49 @@ def test_closed_caps_admit_the_benchmarked_sizes():
     assert parser.parse_args(["lambda", "0"]).j == 0
 
 
+@pytest.mark.parametrize("argv, limited", [
+    (["qbinom", str(cli.QBINOM_MAX_N + 1), "2"],
+     f"qbinom is limited to n <= {cli.QBINOM_MAX_N}"),
+    (["stabilize", str(cli.STABILIZE_MAX_N + 1), "1"],
+     f"stabilize is limited to n <= {cli.STABILIZE_MAX_N}"),
+    (["limit", "--zdeg", str(cli.LIMIT_MAX_ZDEG + 1), "--qdeg", "1"],
+     f"limit is limited to --zdeg <= {cli.LIMIT_MAX_ZDEG}"),
+    (["limit", "--zdeg", "1", "--qdeg", str(cli.LIMIT_MAX_QDEG + 1)],
+     f"limit is limited to --qdeg <= {cli.LIMIT_MAX_QDEG}"),
+    (["dyck", str(cli.DYCK_MAX_M + 1), "1"],
+     f"dyck is limited to m <= {cli.DYCK_MAX_M}"),
+])
+def test_series_verbs_above_cap_exit_2_without_computing(argv, limited, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError(f"{argv[0]} computed past its cap")
+
+    monkeypatch.setattr(cli, "gauss_product", forbidden)
+    for name in ("stabilization_check", "limit_det", "dyck_count"):
+        monkeypatch.setattr(cli.series, name, forbidden)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.code == 2
+    assert limited in capsys.readouterr().err
+
+
+def test_series_caps_admit_the_benchmarked_sizes():
+    # The benchmark's `series` workload runs stabilize 100 20, qbinom 64 k
+    # for k in 30..34, limit 20/1500 and dyck m h for m <= 60, h <= m + 2.
+    # Parse only: nothing is computed.
+    parser = cli.build_parser()
+    for n in (100, cli.STABILIZE_MAX_N):
+        assert parser.parse_args(["stabilize", str(n), "20"]).n == n
+    for n in (64, cli.QBINOM_MAX_N):
+        assert parser.parse_args(["qbinom", str(n), "34", "--json"]).n == n
+    for z, q in ((20, 1500), (cli.LIMIT_MAX_ZDEG, cli.LIMIT_MAX_QDEG)):
+        args = parser.parse_args(["limit", "--zdeg", str(z), "--qdeg", str(q)])
+        assert (args.zdeg, args.qdeg) == (z, q)
+    for m in (60, cli.DYCK_MAX_M):
+        assert parser.parse_args(["dyck", str(m), str(m + 2)]).m == m
+
+
 @pytest.mark.parametrize("argv", [
     ["det", "0"],
     ["matrix", "-3"],

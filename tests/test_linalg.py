@@ -197,3 +197,27 @@ def test_lu_when_pivots_allow_reproduces_matrix(m):
     except ZeroPivotError:
         return
     assert bool(product_check(f, m))
+
+
+@st.composite
+def tridiagonal_with_zero_pivot(draw, max_n=6):
+    """A step j and an integer tridiagonal matrix L*U whose pivots (the
+    leading-minor ratios) u_1 .. u_(j-1) are nonzero and u_j is zero."""
+    n = draw(st.integers(2, max_n))
+    j = draw(st.integers(1, n - 1))
+    ints = st.integers(-5, 5)
+    pivots = ([draw(ints.filter(bool)) for _ in range(j - 1)] + [0]
+              + [draw(ints) for _ in range(n - j)])
+    mults = [draw(ints) for _ in range(n - 1)]
+    sup = [draw(ints) for _ in range(n - 1)]
+    diag = [pivots[0]] + [mults[i - 1] * sup[i - 1] + pivots[i] for i in range(1, n)]
+    sub = [mults[i] * pivots[i] for i in range(n - 1)]
+    return j, tri_constant(diag, sup, sub)
+
+
+@settings(deadline=None)
+@given(tridiagonal_with_zero_pivot())
+def test_zero_pivot_reported_at_its_step(case):
+    j, m = case
+    with pytest.raises(ZeroPivotError, match=rf"step {j}$"):
+        lu_generic(m)

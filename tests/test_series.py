@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qlehmer import series
 from qlehmer.lehmer import det_closed
 from qlehmer.poly import ONE, Poly2, q_pow
 from qlehmer.qcomb import poch_qq
@@ -41,6 +42,15 @@ class TestInvertPoch:
                 low = Poly2({e: c for e, c in product.iter_terms()
                              if e[0] <= 2 * trunc})
                 assert low == ONE, (k, trunc)
+
+    def test_certificate_rejects_a_wrong_product(self, monkeypatch):
+        # With (q;q)_k replaced by (q;q)_k (1 - q^(k+1)), the product with the
+        # true inverse is 1 - q^(k+1), so every trunc > k must raise.
+        real = series.poch_qq
+        monkeypatch.setattr(series, "poch_qq", lambda k: real(k) * (ONE - q_pow(k + 1)))
+        for k in range(1, 6):
+            with pytest.raises(ArithmeticError):
+                invert_poch(k, 2 * k + 1)
 
 
 class TestLimitDet:
@@ -146,6 +156,14 @@ class TestDyckCount:
         for m in range(9):
             counts = [dyck_count(m, h) for h in range(10)]
             assert all(a <= b for a, b in zip(counts, counts[1:])), m
+
+    def test_height_bound_above_half_length_changes_nothing(self):
+        # A path of half-length m never rises above m, so only min(h, m)
+        # heights are tracked; a bound of 10^7 must not cost 10^7 of them.
+        assert dyck_count(3, 10**7) == 5
+        for m in range(8):
+            for h in range(m + 1, m + 4):
+                assert dyck_count(m, h) == dyck_count(m, m), (m, h)
 
 
 class TestDyckGf:
