@@ -44,11 +44,16 @@ CLOSED_MAX_N = 160
 # denominators), so its output outgrows `det`'s; `lu 80` takes 6.4 s and
 # 139 MB (34 MB of text), `lu 80 --json` 7.0 s and 470 MB, `lu 96` 13.6 s.
 LU_MAX_N = 80
-# `qbinom`: `qbinom 176 88` takes 10.5 s and 162 MB, `qbinom 200 100` 18 s.
-QBINOM_MAX_N = 176
-# `stabilize`: the worst k is near n/6; `stabilize 220 36` takes 8.4 s and
-# 180 MB, `stabilize 256 52` 21 s.
-STABILIZE_MAX_N = 220
+# `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
+# the worst k is n/2, where `qbinom 176 88` takes 4.3 s and 23 MB and
+# `qbinom 200 100` 10.3 to 10.5 s and 25 MB.
+QBINOM_MAX_N = 200
+# `stabilize`: computes [n-k k]_q like `qbinom`, so the worst k lies between
+# n/4 and n/3; `stabilize 220 62` takes 2.7 s and `stabilize 290 97` 6.8 to
+# 7.2 s and 25 MB.  Above n = 292 the largest quotient coefficients need one
+# more width doubling in `exact_div`, so its division runs on digits twice as
+# wide: `stabilize 300 85` takes 18 s.
+STABILIZE_MAX_N = 290
 # `limit`: z^k costs a series inversion of k passes over qdeg + 1 partition
 # counts, and z^k is zero once k(k-1) > qdeg; `limit --zdeg 60 --qdeg 10000`
 # takes 9.4 to 11 s and 175 MB.
@@ -57,6 +62,9 @@ LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
 # 3600` takes 8.7 s, `dyck 4000 4000` 12.8 s.
 DYCK_MAX_M = 3600
+# `matrix`: builds and prints all 3n - 2 entries; `matrix 300000 --json` takes
+# 8 s and 596 MB, `matrix 400000 --json` 10.7 s and 788 MB.
+MATRIX_MAX_N = 300000
 
 
 def _capped(parse, cap: int, verb: str, arg: str, why: str):
@@ -183,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lambda)
 
     p = with_json(sub.add_parser("matrix", help="the n x n Lehmer matrix bands"))
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_capped(_positive_int, MATRIX_MAX_N, "matrix", "n",
+                                     "it holds every entry in memory"))
     p.set_defaults(func=_cmd_matrix)
 
     p = with_json(sub.add_parser("det", help="closed-form determinant of M(n)"))
@@ -218,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stabilize", help="q-degree through which det M(n) agrees with the limit at z^k")
     p.add_argument("n", type=_capped(_positive_int, STABILIZE_MAX_N, "stabilize", "n",
-                                     "it divides (q;q)_(n-k) exactly"))
+                                     "its cost grows about as n^4"))
     p.add_argument("k", type=_nonneg_int)
     p.set_defaults(func=_cmd_stabilize)
 

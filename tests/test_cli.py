@@ -115,12 +115,13 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
     ("det", "161", 160),
     ("lambda", "161", 160),
     ("lu", str(cli.LU_MAX_N + 1), cli.LU_MAX_N),
+    ("matrix", str(cli.MATRIX_MAX_N + 1), cli.MATRIX_MAX_N),
 ])
 def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkeypatch, capsys):
     def forbidden(*args):
         raise AssertionError(f"{verb} computed past its cap")
 
-    for name in ("lambda_rec", "det_closed", "closed_factors"):
+    for name in ("lambda_rec", "det_closed", "closed_factors", "lehmer_matrix"):
         monkeypatch.setattr(cli.lehmer, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
@@ -138,6 +139,7 @@ def test_closed_caps_admit_the_benchmarked_sizes():
         assert parser.parse_args(["det", str(n), "--json"]).n == n
         assert parser.parse_args(["lambda", str(n)]).j == n
     assert parser.parse_args(["lu", str(cli.LU_MAX_N)]).n == cli.LU_MAX_N
+    assert parser.parse_args(["matrix", str(cli.MATRIX_MAX_N), "--json"]).n == cli.MATRIX_MAX_N
     assert parser.parse_args(["lambda", "0"]).j == 0
 
 

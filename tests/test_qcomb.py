@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qlehmer import qcomb
 from qlehmer.poly import ONE, ZERO, Poly2, eval_qz, eval_u1, q_pow
 from qlehmer.qcomb import gauss_pascal, gauss_product, poch_qq
 
@@ -41,6 +42,30 @@ class TestGaussProduct:
     def test_out_of_range(self):
         assert gauss_product(3, 5) == ZERO
         assert gauss_product(3, -1) == ZERO
+
+    def test_divides_by_the_shorter_pochhammer_only(self, monkeypatch):
+        orders = []
+
+        def recording(k):
+            orders.append(k)
+            return poch_qq(k)
+
+        monkeypatch.setattr(qcomb, "poch_qq", recording)
+        gauss_product(80, 60)
+        gauss_product(80, 20)
+        assert set(orders) == {20}
+
+    @pytest.mark.parametrize("n, k", [(64, 30), (80, 20), (80, 60), (100, 50)])
+    def test_integer_product_past_the_pascal_range(self, n, k):
+        # [n k] at an integer q is the integer prod_{i<=k} (q^(n-k+i)-1)/(q^i-1).
+        g = gauss_product(n, k)
+        for q in (2, -3):
+            num = den = 1
+            for i in range(1, k + 1):
+                num *= q ** (n - k + i) - 1
+                den *= q ** i - 1
+            assert num % den == 0
+            assert eval_qz(g, q, 1) == num // den, (n, k, q)
 
 
 class TestGaussPascal:
