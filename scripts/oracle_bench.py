@@ -2,15 +2,11 @@
 """Timing of the multiply kernel and of the determinant and LU routes.
 
 Exact bivariate arithmetic suffers intermediate-expression swell, so every
-size cap is set by measurement:
+size cap is set by measurement.  The CLI's caps (`VERIFY_MAX_N`,
+`CLOSED_MAX_N`, `LU_MAX_N` and the series verbs' caps) are defined in
+`qlehmer.cli`, each with a comment that gives its reason and its measured
+worst case.  Beyond those:
 
-* `qlehmer verify` refuses n > 48 (`cli.VERIFY_MAX_N`).  Its cost grows
-  about as n^6; on a shared 2-core host `verify 40` took 7 s and `verify 48`
-  22 s.
-* `qlehmer det` and `qlehmer lambda` refuse n > 160 (`cli.CLOSED_MAX_N`):
-  `lambda_rec` keeps every lam(j), so memory grows about as n^4, and
-  `det 160 --json` took 9.6 s and 605 MB.  `qlehmer lu` prints every lam(j)
-  three times and refuses n > 80 (`cli.LU_MAX_N`; 6.4 s, 470 MB with --json).
 * The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
   product check n <= 16) so that it stays fast; since large products go
   through Kronecker substitution these routes take well under a second there.
@@ -24,8 +20,9 @@ The recursion table times `lambda_rec(n)`, the route behind `qlehmer det`
 and `qlehmer lambda`, and apart from it the last step's two kernels: the
 monomial shift z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The
 kernel table times one product lam(n-1) * lam(n) per size, and the
-division table one exact division per row: the Gaussian binomials [80 20]_q
-and [64 32]_q as q-Pochhammer quotients, and Bareiss on M(16) and M(22).
+division table one route per row: `gauss_product` on [80 20]_q and
+[64 32]_q, the short quotient behind `qlehmer qbinom` and `qlehmer
+stabilize`, and Bareiss on M(16) and M(22).
 Each row records the result's term count and largest coefficient in bits,
 the output size that drives the cost.  Rerun this to retune the caps on
 different hardware.
@@ -36,8 +33,8 @@ import time
 
 from qlehmer.lehmer import closed_factors, det_closed, lambda_rec, lehmer_matrix
 from qlehmer.linalg import det_bareiss, det_cofactor, lu_generic, product_check
-from qlehmer.poly import exact_div, q_pow, z_pow
-from qlehmer.qcomb import poch_qq
+from qlehmer.poly import q_pow, z_pow
+from qlehmer.qcomb import gauss_product
 
 RECURSION_SIZES = (64, 96, 112, 128)
 KERNEL_SIZES = (8, 16, 22, 32, 48, 64)
@@ -85,22 +82,21 @@ def kernel_table() -> None:
 
 
 def division_table() -> None:
-    """One exact division per row, timed apart from building its operands."""
+    """One division route per row: Gaussian binomials, then Bareiss."""
     rows = []
     for n, k in DIVISION_SIZES:
-        a, b = poch_qq(n), poch_qq(k) * poch_qq(n - k)
         start = time.perf_counter()
-        quotient = exact_div(a, b)
-        rows.append((f"exact_div [{n} {k}]_q", time.perf_counter() - start, quotient))
+        quotient = gauss_product(n, k)
+        rows.append((f"gauss_product [{n} {k}]_q", time.perf_counter() - start, quotient))
     for n in BAREISS_SIZES:
         m = lehmer_matrix(n)
         grid = [[m.entry(i, j) for j in range(n)] for i in range(n)]
         start = time.perf_counter()
         det = det_bareiss(grid)
         rows.append((f"det_bareiss n={n}", time.perf_counter() - start, det))
-    print(f"{'division':<22} {'seconds':>8} {'terms':>7} {'bits':>5}")
+    print(f"{'division':<24} {'seconds':>8} {'terms':>7} {'bits':>5}")
     for name, seconds, result in rows:
-        print(f"{name:<22} {seconds:8.4f} {len(result.terms):>7} {coeff_bits(result):>5}")
+        print(f"{name:<24} {seconds:8.4f} {len(result.terms):>7} {coeff_bits(result):>5}")
 
 
 def main() -> None:

@@ -7,11 +7,12 @@ from .poly import (
     ExactDivisionError,
     Poly2,
     RatFunc,
-    as_qz,
     eval_qz,
     eval_u1,
     exact_div,
     q_pow,
+    q_poly,
+    qz_terms,
     ratfunc_eq,
     to_text,
     z_pow,

@@ -4,7 +4,9 @@ The two formal variables are half powers: u**2 stands for q and v**2 for z.
 Working in (u, v) makes every entry of the Lehmer matrix an honest monomial
 (z**(1/2) * q**((i-1)/2) becomes v * u**(i-1)), so no fractional exponents
 ever appear.  Values that live in the plain (q, z) world are exactly the
-polynomials whose u- and v-exponents are all even; `as_qz` converts them.
+polynomials whose u- and v-exponents are all even.  Apart from the text and
+JSON forms, `qz_terms` is the one reader of their (q, z) degrees, and
+`q_poly`, `q_pow` and `z_pow` are the ones that build them.
 
 A polynomial is a map from exponent pairs (eu, ev) to nonzero int
 coefficients.  Python ints are arbitrary precision, so coefficient growth in
@@ -437,29 +439,24 @@ def eval_u1(a: Poly2) -> Poly2:
     return Poly2._raw(out)
 
 
-def as_qz(a: Poly2) -> Poly2:
-    """Relabel even exponents (eu, ev) -> (eu/2, ev/2), read as (q, z) degrees.
-
-    The result reuses the Poly2 carrier but its exponent slots now mean
-    q-degree and z-degree.  An odd exponent means a half power survived where
-    it must have cancelled, and is reported as an error.
-    """
-    out: dict[Exponents, int] = {}
+def qz_terms(a: Poly2) -> Iterator[tuple[Exponents, int]]:
+    """Lazily yield ((q-degree, z-degree), coeff) for each term; an odd
+    exponent is a half power that did not cancel and raises ValueError."""
     for (eu, ev), c in a._terms.items():
         if eu % 2 or ev % 2:
             raise ValueError(f"odd exponent ({eu}, {ev}): not a (q, z) polynomial")
-        out[(eu // 2, ev // 2)] = c
-    return Poly2._raw(out)
+        yield (eu // 2, ev // 2), c
+
+
+def q_poly(pairs: Iterable[tuple[int, int]]) -> Poly2:
+    """Sum of c * q**d over (d, c) pairs with distinct d, by the validating
+    constructor: zero coefficients drop out, a negative d raises ValueError."""
+    return Poly2({(2 * d, 0): c for d, c in pairs})
 
 
 def eval_qz(a: Poly2, q_val: int, z_val: int) -> int:
     """Evaluate an even-exponent polynomial at integer q and z values."""
-    total = 0
-    for (eu, ev), c in a._terms.items():
-        if eu % 2 or ev % 2:
-            raise ValueError(f"odd exponent ({eu}, {ev}): not a (q, z) polynomial")
-        total += c * q_val ** (eu // 2) * z_val ** (ev // 2)
-    return total
+    return sum(c * q_val ** dq * z_val ** dz for (dq, dz), c in qz_terms(a))
 
 
 # -- fraction field ----------------------------------------------------------

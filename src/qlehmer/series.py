@@ -26,15 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lehmer import lambda_rec
-from .poly import ONE, Poly2, eval_u1, to_text
+from .poly import ZERO, Poly2, eval_u1, q_poly, q_pow, qz_terms, to_text
 from .qcomb import gauss_product, poch_qq
 
 
 @dataclass(frozen=True)
 class Series2:
     """Formal power series in z to degree z_trunc, each coefficient a
-    q-polynomial to degree q_trunc.  Stored in the half-power carrier, so a
-    coefficient's u-exponents are even and its v-exponents zero."""
+    q-polynomial to degree q_trunc.  Stored in the half-power carrier; each
+    coefficient must read through `qz_terms` as q-degrees <= q_trunc with
+    z-degree 0."""
 
     z_trunc: int
     q_trunc: int
@@ -46,12 +47,11 @@ class Series2:
         if len(self.coeffs) != self.z_trunc + 1:
             raise ValueError("need one coefficient per z-power, 0..z_trunc")
         for c in self.coeffs:
-            if c.deg_v() > 0:
-                raise ValueError("coefficients must be polynomials in q alone")
-            if not c.has_even_exponents():
-                raise ValueError("coefficients must have even u-exponents")
-            if c.deg_u() > 2 * self.q_trunc:
-                raise ValueError("coefficient exceeds the q-truncation order")
+            for (dq, dz), _ in qz_terms(c):
+                if dz:
+                    raise ValueError("coefficients must be polynomials in q alone")
+                if dq > self.q_trunc:
+                    raise ValueError("coefficient exceeds the q-truncation order")
 
     def __str__(self) -> str:
         return "\n".join(f"z^{k}: {to_text(c)}" for k, c in enumerate(self.coeffs))
@@ -77,10 +77,10 @@ def invert_poch(k: int, trunc: int) -> Poly2:
     for part in range(1, k + 1):
         for d in range(part, trunc + 1):
             inv[d] += inv[d - part]
-    result = Poly2({(2 * d, 0): c for d, c in enumerate(inv)})
+    result = q_poly(enumerate(inv))
     check = result * poch_qq(k)
-    residue = Poly2({e: c for e, c in check.iter_terms() if e[0] <= 2 * trunc})
-    if residue != ONE:
+    residue = {e: c for e, c in qz_terms(check) if e[0] <= trunc}
+    if residue != {(0, 0): 1}:
         raise ArithmeticError(f"series inversion failed certification for k={k}")
     return result
 
@@ -94,24 +94,22 @@ def limit_det(z_trunc: int, q_trunc: int) -> Series2:
     for k in range(z_trunc + 1):
         shift = k * (k - 1)
         if shift > q_trunc:
-            coeffs.append(Poly2.constant(0))
+            coeffs.append(ZERO)
             continue
         body = invert_poch(k, q_trunc - shift)
-        coeffs.append(Poly2.monomial((-1) ** k, 2 * shift, 0) * body)
+        coeffs.append((-1) ** k * q_pow(shift) * body)
     return Series2(z_trunc=z_trunc, q_trunc=q_trunc, coeffs=tuple(coeffs))
 
 
 def series_from_poly(p: Poly2, z_trunc: int, q_trunc: int) -> Series2:
     """Truncate an even-exponent polynomial (e.g. a finite determinant) into
-    the Series2 carrier at (z_trunc, q_trunc)."""
-    buckets: list[dict] = [dict() for _ in range(z_trunc + 1)]
-    for (eu, ev), c in p.iter_terms():
-        if eu % 2 or ev % 2:
-            raise ValueError(f"odd exponent ({eu}, {ev}): not a (q, z) polynomial")
-        if ev // 2 <= z_trunc and eu // 2 <= q_trunc:
-            buckets[ev // 2][(eu, 0)] = c
+    the Series2 carrier at (z_trunc, q_trunc), one q-degree map per z-power."""
+    buckets: list[dict[int, int]] = [{} for _ in range(z_trunc + 1)]
+    for (dq, dz), c in qz_terms(p):
+        if dz <= z_trunc and dq <= q_trunc:
+            buckets[dz][dq] = c
     return Series2(z_trunc=z_trunc, q_trunc=q_trunc,
-                   coeffs=tuple(Poly2(b) for b in buckets))
+                   coeffs=tuple(q_poly(b.items()) for b in buckets))
 
 
 def stabilization_check(n: int, k: int) -> int | None:
@@ -120,7 +118,8 @@ def stabilization_check(n: int, k: int) -> int | None:
 
     Both coefficients carry the same (-1)^k q^(k(k-1)) prefactor, so the
     comparison strips it: Gaussian binomial [n-k k] against the series
-    1/(q;q)_k.  For k = 0 the two sides are identically 1 and no finite
+    1/(q;q)_k truncated at q-degree k(n-2k) + 1, one above the degree of
+    [n-k k].  For k = 0 the two sides are identically 1 and no finite
     largest d exists; None encodes that exact agreement.
     """
     if k < 0:
@@ -129,13 +128,14 @@ def stabilization_check(n: int, k: int) -> int | None:
         raise ValueError(f"z^{k} is absent from the order-{n} determinant")
     if k == 0:
         return None
-    finite = gauss_product(n - k, k)
-    # One comparison suffices: 1/(q;q)_k has a positive coefficient (a
-    # partition count) at every q-degree, and the finite side vanishes above
-    # its degree, which is below cap, so the two differ at or below cap.
-    cap = max(finite.deg_u() // 2 + 2, 4)
-    diff = finite - invert_poch(k, cap)
-    return min(eu for eu, _ in diff.terms) // 2 - 1
+    # [n-k k]_q has degree k(n-2k), so its coefficient at q-degree
+    # trunc = k(n-2k) + 1 is 0, while that of 1/(q;q)_k counts the partitions
+    # of trunc into parts <= k: at least one, all parts 1.  So the two sides
+    # differ at or below trunc, and the lowest q-degree of the difference is
+    # the first at which they differ.
+    trunc = k * (n - 2 * k) + 1
+    diff = gauss_product(n - k, k) - invert_poch(k, trunc)
+    return min(dq for (dq, _), _ in qz_terms(diff)) - 1
 
 
 def dyck_count(m: int, h: int) -> int:
@@ -167,15 +167,13 @@ def dyck_count(m: int, h: int) -> int:
 
 
 def _z_coeff_list(p: Poly2, upto: int) -> list[int]:
-    """Dense z-coefficient list of a polynomial in v alone (even exponents)."""
+    """Dense z-coefficient list, through z^upto, of a polynomial in z alone."""
     out = [0] * (upto + 1)
-    for (eu, ev), c in p.iter_terms():
-        if eu:
+    for (dq, dz), c in qz_terms(p):
+        if dq:
             raise ValueError("not a polynomial in z alone")
-        if ev % 2:
-            raise ValueError(f"odd v-exponent {ev}")
-        if ev // 2 <= upto:
-            out[ev // 2] = c
+        if dz <= upto:
+            out[dz] = c
     return out
 
 

@@ -16,12 +16,13 @@ from qlehmer.poly import (
     ExactDivisionError,
     Poly2,
     RatFunc,
-    as_qz,
     eval_qz,
     eval_u1,
     exact_div,
     from_json_obj,
     q_pow,
+    q_poly,
+    qz_terms,
     ratfunc_eq,
     to_json_obj,
     to_text,
@@ -149,17 +150,17 @@ class TestEvalU1:
         assert eval_u1(P({(2, 2): 1})) == P({(0, 2): 1})
 
 
-class TestAsQz:
+class TestQzTerms:
     def test_monomial(self):
-        assert as_qz(P({(2, 2): 1})) == P({(1, 1): 1})
+        assert list(qz_terms(P({(2, 4): 3}))) == [((1, 2), 3)]
 
     def test_lambda3(self):
         lam3 = ONE - z_pow(1) - q_pow(1) * z_pow(1)
-        assert as_qz(lam3) == P({(0, 0): 1, (0, 1): -1, (1, 1): -1})
+        assert dict(qz_terms(lam3)) == {(0, 0): 1, (0, 1): -1, (1, 1): -1}
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):
-            as_qz(U * V)
+            list(qz_terms(U * V))
 
 
 class TestEvalQz:
@@ -421,6 +422,40 @@ def test_exact_div_rejects_non_divisible(a, b, reason):
     # certificate cases need the Mignotte cap to end.
     with pytest.raises(ExactDivisionError, match=reason):
         exact_div(a, b)
+
+
+# (q, z) polynomials as {(q-degree, z-degree): coeff} maps, zeros left out.
+qz_maps = st.dictionaries(exponent_pairs, st.integers(-9, 9).filter(bool), max_size=8)
+
+
+def from_qz(m):
+    return Poly2({(2 * dq, 2 * dz): c for (dq, dz), c in m.items()})
+
+
+@given(qz_maps, st.integers(-4, 4), st.integers(-4, 4))
+def test_qz_terms_reads_back_the_qz_map(m, q, z):
+    p = from_qz(m)
+    assert dict(qz_terms(p)) == m
+    assert eval_qz(p, q, z) == sum(c * q**dq * z**dz for (dq, dz), c in m.items())
+
+
+@given(qz_maps, exponent_pairs.filter(lambda e: e[0] % 2 or e[1] % 2), st.integers(1, 9))
+def test_qz_terms_names_an_odd_exponent(m, odd, c):
+    p = from_qz(m) + P({odd: c})
+    for read in (lambda: list(qz_terms(p)), lambda: eval_qz(p, 1, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"({odd[0]}, {odd[1]})")):
+            read()
+
+
+@given(st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_size=10))
+def test_q_poly_drops_zero_coefficients(m):
+    p = q_poly(m.items())
+    assert dict(qz_terms(p)) == {(d, 0): c for d, c in m.items() if c}
+
+
+def test_q_poly_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        q_poly([(0, 1), (-1, 1)])
 
 
 @given(polys, polys)

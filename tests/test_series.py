@@ -1,10 +1,11 @@
 """Limit series, stabilization degrees, and the bounded-height Dyck check."""
 
 import math
+import re
 
 import pytest
 
-from qlehmer import series
+from qlehmer import poly, series
 from qlehmer.lehmer import det_closed
 from qlehmer.poly import ONE, Poly2, q_pow
 from qlehmer.qcomb import poch_qq
@@ -20,7 +21,7 @@ from qlehmer.series import (
 
 
 def q_poly(coeffs):
-    return Poly2({(2 * d, 0): c for d, c in enumerate(coeffs) if c})
+    return poly.q_poly(enumerate(coeffs))
 
 
 class TestInvertPoch:
@@ -81,6 +82,10 @@ class TestSeries2:
         with pytest.raises(ValueError):
             Series2(z_trunc=0, q_trunc=2, coeffs=(Poly2.monomial(1, 0, 2),))
 
+    def test_odd_u_exponent_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("(3, 0)")):
+            Series2(z_trunc=0, q_trunc=2, coeffs=(Poly2.monomial(1, 3, 0),))
+
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
             Series2(z_trunc=0, q_trunc=2, coeffs=(q_pow(3),))
@@ -122,9 +127,10 @@ class TestStabilization:
 
     def test_certified_threshold(self):
         # [n-k k]_q = (q^(n-2k+1); q)_k / (q;q)_k, so agreement is exactly
-        # n - 2k; brute-force comparison over the window.
-        for k in range(1, 5):
-            for n in range(2 * k, 21):
+        # n - 2k; brute-force comparison over the window.  n = 2k is the
+        # smallest truncation of the inverse, k(n-2k) + 1 = 1.
+        for k in range(1, 13):
+            for n in range(2 * k, 41):
                 assert stabilization_check(n, k) == n - 2 * k, (n, k)
 
     def test_monotone_in_n(self):
