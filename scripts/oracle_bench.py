@@ -16,8 +16,9 @@ worst case.  Beyond those:
   packing and unpacking of the entries, not in a leading-term scan (4.3 s
   at n = 22 before).
 
-The recursion table times `lambda_rec(n)`, the route behind `qlehmer det`
-and `qlehmer lambda`, and apart from it the last step's two kernels: the
+The recursion table times the table `tuple(lambdas(n))`, the recursion
+behind `qlehmer det` and `qlehmer lambda` (which keep only its last two
+values), and apart from it the last step's two kernels: the
 monomial shift z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The
 kernel table times one product lam(n-1) * lam(n) per size, and the
 division table one route per row: `gauss_product` on [80 20]_q and
@@ -31,7 +32,7 @@ different hardware.
 import argparse
 import time
 
-from qlehmer.lehmer import closed_factors, det_closed, lambda_rec, lehmer_matrix
+from qlehmer.lehmer import closed_factors, det_closed, lambdas, lehmer_matrix
 from qlehmer.linalg import det_bareiss, det_cofactor, lu_generic, product_check
 from qlehmer.poly import q_pow, z_pow
 from qlehmer.qcomb import gauss_product
@@ -53,11 +54,11 @@ def coeff_bits(p) -> int:
 
 
 def recursion_table() -> None:
-    """lambda_rec(n), then the last step's shift and subtraction on its table."""
-    print(f"{'n':>3} {'lambda_rec':>10} {'shift':>7} {'subtract':>8} {'terms':>7} {'bits':>5}")
+    """The table lam(0..n), then the last step's shift and subtraction on it."""
+    print(f"{'n':>3} {'lambdas':>10} {'shift':>7} {'subtract':>8} {'terms':>7} {'bits':>5}")
     for n in RECURSION_SIZES:
         start = time.perf_counter()
-        lam = lambda_rec(n)
+        lam = tuple(lambdas(n))
         t_rec = time.perf_counter() - start
         step = z_pow(1) * q_pow(n - 2)
         start = time.perf_counter()
@@ -72,7 +73,7 @@ def recursion_table() -> None:
 
 
 def kernel_table() -> None:
-    lam = lambda_rec(max(KERNEL_SIZES))
+    lam = tuple(lambdas(max(KERNEL_SIZES)))
     print(f"{'n':>3} {'lam(n-1)*lam(n)':>16} {'terms':>7} {'bits':>5}")
     for n in KERNEL_SIZES:
         start = time.perf_counter()

@@ -25,6 +25,7 @@ from .lehmer import (
     det_closed,
     lambda_rec,
     lambda_sum,
+    lambdas,
     lehmer_matrix,
 )
 from .linalg import (

@@ -36,13 +36,17 @@ def _nonneg_int(text: str) -> int:
 # `verify`: the checks cost about n^6; `verify 40` takes 7 s and `verify 48`
 # 22 s, while `verify 64` would run for minutes.
 VERIFY_MAX_N = 48
-# `det` and `lambda`: `lambda_rec` keeps every lam(j), j <= n, so memory grows
-# about as n^4; `det 128 --json` takes 3.3 s and 257 MB, `det 160 --json`
-# 9.6 s and 605 MB, and `det 300` would need minutes and gigabytes.
+# `det` and `lambda`: the recursion keeps two lam's at a time, so time, not
+# memory, is the limit; it grows about as n^4 (lam(n) has about n^3/24 terms
+# and each of the n steps passes over them).  `det 128 --json` takes 1.1 s and
+# 62 MB, `det 160 --json` 2.7 to 2.9 s and 108 MB, and `det 200 --json`, run
+# in-process, 7.5 s.
 CLOSED_MAX_N = 160
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
-# denominators), so its output outgrows `det`'s; `lu 80` takes 6.4 s and
-# 139 MB (34 MB of text), `lu 80 --json` 7.0 s and 470 MB, `lu 96` 13.6 s.
+# denominators), so its output outgrows `det`'s.  It is written in pieces,
+# so the factors themselves set the peak: `lu 80` takes 2.7 to 2.8 s
+# and 103 MB (34 MB of text), `lu 80 --json` 2.1 s and 110 MB, and
+# `lu 96 --json`, run in-process, 4.3 s and 216 MB.
 LU_MAX_N = 80
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
 # the worst k is n/2, where `qbinom 176 88` takes 4.3 s and 23 MB and
@@ -62,8 +66,8 @@ LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
 # 3600` takes 8.7 s, `dyck 4000 4000` 12.8 s.
 DYCK_MAX_M = 3600
-# `matrix`: builds and prints all 3n - 2 entries; `matrix 300000 --json` takes
-# 8 s and 596 MB, `matrix 400000 --json` 10.7 s and 788 MB.
+# `matrix`: builds all 3n - 2 entries and prints them; `matrix 300000 --json`
+# takes 9.1 s and 126 MB.
 MATRIX_MAX_N = 300000
 
 
@@ -83,27 +87,51 @@ def _print_poly(value, as_json: bool) -> None:
     print(json.dumps(to_json_obj(value)) if as_json else to_text(value))
 
 
-def _line(label: str, values) -> str:
-    return f"{label}: " + ", ".join(str(v) for v in values)
+def _write_joined(parts) -> None:
+    """Write `", ".join(parts)` to stdout in pieces of about 64 KB: the whole
+    string is never built, and tiny parts do not cost one write each."""
+    piece, size, sep = [], 0, ""
+    for part in parts:
+        piece.append(part)
+        size += len(part)
+        if size >= 1 << 16:
+            sys.stdout.write(sep + ", ".join(piece))
+            piece, size, sep = [], 0, ", "
+    if piece:
+        sys.stdout.write(sep + ", ".join(piece))
+
+
+def _print_bands(n: int, bands, as_json: bool) -> None:
+    """Print `n` and the (key, entries, to_json_obj) triples of `bands`.
+
+    The output is several times the size of the entries it renders, so it is
+    written in pieces; the bytes are those of `json.dumps` on the whole
+    object, or of one "key: a, b, ..." line per band.
+    """
+    if as_json:
+        sys.stdout.write(f'{{"n": {n}')
+        for key, entries, to_obj in bands:
+            sys.stdout.write(f', "{key}": [')
+            _write_joined(json.dumps(to_obj(x)) for x in entries)
+            sys.stdout.write("]")
+        sys.stdout.write("}\n")
+    else:
+        sys.stdout.write(f"n: {n}\n")
+        for key, entries, _ in bands:
+            sys.stdout.write(f"{key}: ")
+            _write_joined(str(x) for x in entries)
+            sys.stdout.write("\n")
 
 
 def _cmd_lambda(args) -> int:
-    _print_poly(lehmer.lambda_rec(args.j)[args.j], args.json)
+    _print_poly(lehmer.lambda_rec(args.j), args.json)
     return 0
 
 
 def _cmd_matrix(args) -> int:
     m = lehmer.lehmer_matrix(args.n)
-    if args.json:
-        print(json.dumps({"n": m.n,
-                          "diag": [to_json_obj(p) for p in m.diag],
-                          "super": [to_json_obj(p) for p in m.superdiag],
-                          "sub": [to_json_obj(p) for p in m.subdiag]}))
-    else:
-        print(f"n: {m.n}")
-        print(_line("diag", m.diag))
-        print(_line("super", m.superdiag))
-        print(_line("sub", m.subdiag))
+    _print_bands(m.n, (("diag", m.diag, to_json_obj), ("super", m.superdiag, to_json_obj),
+                       ("sub", m.subdiag, to_json_obj)), args.json)
     return 0
 
 
@@ -114,16 +142,9 @@ def _cmd_det(args) -> int:
 
 def _cmd_lu(args) -> int:
     f = lehmer.closed_factors(args.n)
-    if args.json:
-        print(json.dumps({"n": f.n,
-                          "u_diag": [ratfunc_to_json_obj(r) for r in f.u_diag],
-                          "u_super": [to_json_obj(p) for p in f.u_super],
-                          "l_sub": [ratfunc_to_json_obj(r) for r in f.l_sub]}))
-    else:
-        print(f"n: {f.n}")
-        print(_line("u_diag", f.u_diag))
-        print(_line("u_super", f.u_super))
-        print(_line("l_sub", f.l_sub))
+    _print_bands(f.n, (("u_diag", f.u_diag, ratfunc_to_json_obj),
+                       ("u_super", f.u_super, to_json_obj),
+                       ("l_sub", f.l_sub, ratfunc_to_json_obj)), args.json)
     return 0
 
 
@@ -187,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_json(sub.add_parser("lambda", help="the determinant polynomial lam(j)"))
     p.add_argument("j", type=_capped(_nonneg_int, CLOSED_MAX_N, "lambda", "n",
-                                     "memory grows about as n^4"))
+                                     "its time grows about as n^4"))
     p.set_defaults(func=_cmd_lambda)
 
     p = with_json(sub.add_parser("matrix", help="the n x n Lehmer matrix bands"))
@@ -197,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_json(sub.add_parser("det", help="closed-form determinant of M(n)"))
     p.add_argument("n", type=_capped(_positive_int, CLOSED_MAX_N, "det", "n",
-                                     "memory grows about as n^4"))
+                                     "its time grows about as n^4"))
     p.set_defaults(func=_cmd_det)
 
     p = with_json(sub.add_parser("lu", help="closed-form LU factors of M(n)"))

@@ -12,12 +12,16 @@ lam(n), and at q = 1, z = -1 the family collapses to Fibonacci numbers.
 
 `lambda_sum` (closed sum, via the product-form binomials) and `lambda_rec`
 (three-term recursion) are two independent constructions; tests require them
-to agree term for term.
+to agree term for term.  The recursion is written once, in the generator
+`lambdas`, which keeps only the last two values: `lambda_rec(n)` and
+`det_closed(n)` hold about three lam's at a time, so their memory grows as
+the size of lam(n) (about n^3/24 terms), not as the whole table (about n^4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .poly import ONE, Poly2, RatFunc, q_pow, z_pow
 from .qcomb import gauss_product
@@ -87,18 +91,28 @@ def lambda_sum(j: int) -> Poly2:
     return total
 
 
-def lambda_rec(j_max: int) -> tuple[Poly2, ...]:
-    """The table lam(0..j_max) via lam(j) = lam(j-1) - z q^(j-2) lam(j-2).
+def lambdas(j_max: int) -> Iterator[Poly2]:
+    """Yield lam(0), ..., lam(j_max) via lam(j) = lam(j-1) - z q^(j-2) lam(j-2).
 
     The recursion only applies from j = 2 on (q^(j-2) would be a negative
-    power at j = 1); lam(0) = lam(1) = 1 are the base cases.
+    power at j = 1); lam(0) = lam(1) = 1 are the base cases.  Only the last
+    two values are kept; a caller that needs the table builds it with
+    `tuple(lambdas(n))`.
     """
     if j_max < 0:
         raise ValueError("index must be nonnegative")
-    values = [ONE, ONE]
-    for j in range(2, j_max + 1):
-        values.append(values[j - 1] - z_pow(1) * q_pow(j - 2) * values[j - 2])
-    return tuple(values[: j_max + 1])
+    prev2 = prev1 = ONE
+    for j in range(j_max + 1):
+        if j >= 2:
+            prev2, prev1 = prev1, prev1 - z_pow(1) * q_pow(j - 2) * prev2
+        yield prev1
+
+
+def lambda_rec(j: int) -> Poly2:
+    """lam(j) alone, holding two values of the recursion at a time."""
+    for lam in lambdas(j):
+        pass
+    return lam
 
 
 def band_monomial(i: int) -> Poly2:
@@ -122,7 +136,7 @@ def closed_factors(n: int) -> BandedFactors:
     """
     if n < 1:
         raise ValueError("factor dimension must be positive")
-    lam = lambda_rec(n)
+    lam = tuple(lambdas(n))
     u_diag = tuple(RatFunc(lam[j], lam[j - 1]) for j in range(1, n + 1))
     u_super = tuple(band_monomial(j) for j in range(1, n))
     l_sub = tuple(RatFunc(band_monomial(j) * lam[j - 1], lam[j]) for j in range(1, n))
@@ -133,4 +147,4 @@ def det_closed(n: int) -> Poly2:
     """det M(n) in closed form: the U pivots telescope to lam(n)/lam(0)."""
     if n < 1:
         raise ValueError("matrix dimension must be positive")
-    return lambda_rec(n)[n]
+    return lambda_rec(n)

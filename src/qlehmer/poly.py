@@ -114,14 +114,6 @@ class Poly2:
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]))
 
-    def deg_u(self) -> int:
-        """Max u-exponent, -1 for the zero polynomial."""
-        return max((e[0] for e in self._terms), default=-1)
-
-    def deg_v(self) -> int:
-        """Max v-exponent, -1 for the zero polynomial."""
-        return max((e[1] for e in self._terms), default=-1)
-
     def has_even_exponents(self) -> bool:
         return all(eu % 2 == 0 and ev % 2 == 0 for eu, ev in self._terms)
 

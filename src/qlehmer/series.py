@@ -23,9 +23,10 @@ against the exhaustive DP oracle `dyck_count`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .lehmer import lambda_rec
+from .lehmer import lambdas
 from .poly import ZERO, Poly2, eval_u1, q_poly, q_pow, qz_terms, to_text
 from .qcomb import gauss_product, poch_qq
 
@@ -182,9 +183,9 @@ def dyck_gf_check(h: int, m_max: int) -> bool:
     path counts dyck_count(m, h) for every half-length m <= m_max."""
     if h < 0 or m_max < 0:
         raise ValueError("arguments must be nonnegative")
-    lam = lambda_rec(h + 1)
-    num = _z_coeff_list(eval_u1(lam[h]), m_max)
-    den = _z_coeff_list(eval_u1(lam[h + 1]), m_max)
+    lam_h, lam_next = deque(lambdas(h + 1), maxlen=2)
+    num = _z_coeff_list(eval_u1(lam_h), m_max)
+    den = _z_coeff_list(eval_u1(lam_next), m_max)
     # Series division: the denominator has constant term 1.
     expansion = [0] * (m_max + 1)
     for m in range(m_max + 1):

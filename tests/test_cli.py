@@ -8,7 +8,14 @@ from contextlib import redirect_stdout
 import pytest
 
 from qlehmer import cli
-from qlehmer.poly import from_json_obj, ratfunc_from_json_obj, to_text
+from qlehmer.lehmer import closed_factors, lehmer_matrix
+from qlehmer.poly import (
+    from_json_obj,
+    ratfunc_from_json_obj,
+    ratfunc_to_json_obj,
+    to_json_obj,
+    to_text,
+)
 
 
 def run(*argv):
@@ -92,7 +99,7 @@ def test_verify_passes():
 
 
 def test_verify_reports_a_wrong_closed_sum(monkeypatch):
-    monkeypatch.setattr(cli.lehmer, "lambda_sum", lambda n: cli.lehmer.lambda_rec(n)[n] + 1)
+    monkeypatch.setattr(cli.lehmer, "lambda_sum", lambda n: cli.lehmer.lambda_rec(n) + 1)
     code, out = run("verify", "4")
     assert code == 1
     assert out.splitlines()[-1] == "closed sum equals recursion det: FAIL"
@@ -121,7 +128,7 @@ def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkey
     def forbidden(*args):
         raise AssertionError(f"{verb} computed past its cap")
 
-    for name in ("lambda_rec", "det_closed", "closed_factors", "lehmer_matrix"):
+    for name in ("lambdas", "lambda_rec", "det_closed", "closed_factors", "lehmer_matrix"):
         monkeypatch.setattr(cli.lehmer, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
@@ -234,6 +241,33 @@ def test_lu_json_round_trip():
     lines.append("l_sub: " + ", ".join(
         str(ratfunc_from_json_obj(o)) for o in obj["l_sub"]))
     assert "\n".join(lines) + "\n" == text_out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_band_verbs_stream_the_bytes_of_the_whole_object(n):
+    # `lu` and `matrix` write their output in pieces; the bytes must be those
+    # of one json.dumps call on the whole object, and of one joined line per band.
+    f, m = closed_factors(n), lehmer_matrix(n)
+    for verb, bands in [
+        ("lu", (("u_diag", f.u_diag, ratfunc_to_json_obj), ("u_super", f.u_super, to_json_obj),
+                ("l_sub", f.l_sub, ratfunc_to_json_obj))),
+        ("matrix", (("diag", m.diag, to_json_obj), ("super", m.superdiag, to_json_obj),
+                    ("sub", m.subdiag, to_json_obj))),
+    ]:
+        whole = {"n": n, **{key: [to_obj(x) for x in band] for key, band, to_obj in bands}}
+        assert run(verb, str(n), "--json") == (0, json.dumps(whole) + "\n")
+        lines = [f"n: {n}"] + [f"{key}: " + ", ".join(str(x) for x in band)
+                               for key, band, _ in bands]
+        assert run(verb, str(n)) == (0, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("parts", [
+    [], ["a"], [""], ["x" * 70000], ["ab"] * 50000, ["x" * 40000, "", "y" * 30000, "z"],
+])
+def test_write_joined_matches_one_join(parts, capsys):
+    # Pieces are cut at about 64 KB; the separators between them must survive.
+    cli._write_joined(iter(parts))
+    assert capsys.readouterr().out == ", ".join(parts)
 
 
 def test_limit_json_round_trip():

@@ -1,6 +1,7 @@
 """The lambda family, the matrix bands, and the closed-form factors."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from qlehmer.lehmer import (
     det_closed,
     lambda_rec,
     lambda_sum,
+    lambdas,
     lehmer_matrix,
 )
 from qlehmer.poly import (
@@ -45,22 +47,50 @@ class TestLambdaSum:
 
 class TestLambdaRec:
     def test_base_cases(self):
-        fam = lambda_rec(1)
-        assert len(fam) == 2
-        assert fam[0] == ONE and fam[1] == ONE
+        assert tuple(lambdas(0)) == (ONE,)
+        assert tuple(lambdas(1)) == (ONE, ONE)
+        assert lambda_rec(0) == ONE and lambda_rec(1) == ONE
 
     def test_j3(self):
-        assert lambda_rec(3)[3] == qz_poly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
+        assert lambda_rec(3) == qz_poly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
 
     def test_j5_fibonacci_point(self):
         # q=1, z=-1 lands on a Fibonacci number; brute-force binomial-sum oracle
-        lam5 = lambda_rec(5)[5]
+        lam5 = lambda_rec(5)
         assert eval_qz(lam5, 1, -1) == 8
         assert eval_qz(lam5, 1, -1) == sum(math.comb(5 - k, k) for k in range(3))
 
 
+def test_rec_is_the_last_table_entry():
+    for j in range(31):
+        assert lambda_rec(j) == tuple(lambdas(j))[j], j
+
+
+def test_negative_index_is_rejected():
+    with pytest.raises(ValueError):
+        lambda_rec(-1)
+    with pytest.raises(ValueError):
+        tuple(lambdas(-1))
+
+
+def traced_peak(compute) -> int:
+    """Peak bytes traced by tracemalloc while `compute()` runs."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_det_holds_two_values_not_the_table():
+    # At n = 64 the table lam(0..64) is about three times det_closed's peak.
+    n = 64
+    assert traced_peak(lambda: det_closed(n)) < traced_peak(lambda: tuple(lambdas(n))) / 2
+
+
 def test_sum_equals_rec_up_to_24():
-    fam = lambda_rec(24)
+    fam = tuple(lambdas(24))
     for j in range(25):
         assert lambda_sum(j) == fam[j], j
 
@@ -73,16 +103,16 @@ def test_recursion_holds_for_sum_values():
 
 
 def test_z_degree_is_half_j():
-    fam = lambda_rec(20)
+    fam = tuple(lambdas(20))
     for j in range(21):
-        assert fam[j].deg_v() == 2 * (j // 2), j
+        assert max(dz for (_, dz), _ in qz_terms(fam[j])) == j // 2, j
 
 
 def test_fibonacci_specialization_up_to_20():
     fib = [0, 1, 1]
     while len(fib) < 23:
         fib.append(fib[-1] + fib[-2])
-    fam = lambda_rec(20)
+    fam = tuple(lambdas(20))
     for j in range(21):
         assert eval_qz(fam[j], 1, -1) == fib[j + 1], j
 
@@ -153,7 +183,7 @@ class TestDetClosed:
 def test_pivot_telescoping_up_to_16():
     # The running product of U pivots equals lam(n)/1 at every stage.
     f = closed_factors(16)
-    fam = lambda_rec(16)
+    fam = tuple(lambdas(16))
     running = RAT_ONE
     for n in range(1, 17):
         running = running * f.u_diag[n - 1]
