@@ -182,18 +182,19 @@ def _cmd_verify(args) -> int:
     m = lehmer.lehmer_matrix(args.n)
     f = lehmer.closed_factors(args.n)
     det = lehmer.det_closed(args.n)
+    lu_ok = linalg.lu_generic(m) == f
+    product = linalg.product_check(f, m)
+    # A failed product check names its first differing entry, 1-based.
+    where = "" if product else " at entry ({}, {})".format(*(k + 1 for k in product.mismatch))
     checks = [
-        ("lu_generic rediscovers closed factors", linalg.lu_generic(m) == f),
-        ("product L*U equals matrix", bool(linalg.product_check(f, m))),
-        ("continuant det equals closed det",
-         linalg.det_cofactor(m) == det),
-        ("closed sum equals recursion det", lehmer.lambda_sum(args.n) == det),
+        ("lu_generic rediscovers closed factors", lu_ok, ""),
+        ("product L*U equals matrix", product.ok, where),
+        ("continuant det equals closed det", linalg.det_cofactor(m) == det, ""),
+        ("closed sum equals recursion det", lehmer.lambda_sum(args.n) == det, ""),
     ]
-    all_ok = True
-    for name, ok in checks:
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    for name, ok, detail in checks:
+        print(f"{name}: PASS" if ok else f"{name}: FAIL{detail}")
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

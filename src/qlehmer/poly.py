@@ -4,15 +4,16 @@ The two formal variables are half powers: u**2 stands for q and v**2 for z.
 Working in (u, v) makes every entry of the Lehmer matrix an honest monomial
 (z**(1/2) * q**((i-1)/2) becomes v * u**(i-1)), so no fractional exponents
 ever appear.  Values that live in the plain (q, z) world are exactly the
-polynomials whose u- and v-exponents are all even.  Apart from the text and
-JSON forms, `qz_terms` is the one reader of their (q, z) degrees, and
-`q_poly`, `q_pow` and `z_pow` are the ones that build them.
+polynomials whose u- and v-exponents are all even.  `qz_terms` reads their
+(q, z) degrees for computation and `_view` reads them for printing; no other
+code tests exponent parity or halves exponents.  `q_poly`, `q_pow` and
+`z_pow` are the ones that build them.
 
 A polynomial is a map from exponent pairs (eu, ev) to nonzero int
 coefficients.  Python ints are arbitrary precision, so coefficient growth in
 determinant elimination is harmless.  The zero polynomial is the empty map.
 The term order used for printing is graded lexicographic on
-(eu + ev, eu, ev).
+(eu + ev, eu, ev), which is the same order as on (q + z, q, z).
 
 Subtraction copies the minuend and subtracts the other operand's terms in
 one pass, deleting any that cancel; it does not negate first.
@@ -58,16 +59,13 @@ class ExactDivisionError(ArithmeticError):
     """Raised when exact_div is asked for a quotient that does not exist."""
 
 
-def _order_key(e: Exponents) -> tuple[int, int, int]:
-    return (e[0] + e[1], e[0], e[1])
-
-
 class Poly2:
     """Sparse bivariate polynomial over Z in canonical form.
 
     Canonical means: no zero coefficients are stored and each exponent pair
     appears once.  Instances are immutable by convention; every operation
-    returns a fresh value.  Equality is term-map identity.
+    returns a fresh value.  Equality is term-map identity, and an int equals
+    its constant polynomial.  Instances are unhashable, like `RatFunc`.
     """
 
     __slots__ = ("_terms",)
@@ -107,15 +105,6 @@ class Poly2:
     def terms(self) -> dict[Exponents, int]:
         """A copy of the term map (the instance itself stays immutable)."""
         return dict(self._terms)
-
-    def iter_terms(self) -> Iterator[tuple[Exponents, int]]:
-        return iter(self._terms.items())
-
-    def sorted_terms(self) -> list[tuple[Exponents, int]]:
-        return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]))
-
-    def has_even_exponents(self) -> bool:
-        return all(eu % 2 == 0 and ev % 2 == 0 for eu, ev in self._terms)
 
     # -- ring operations ----------------------------------------------------
 
@@ -205,9 +194,6 @@ class Poly2:
         if not isinstance(other, Poly2):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         return to_text(self)
@@ -334,8 +320,6 @@ def _coerce(x: "Poly2 | int") -> Poly2:
 
 ZERO = Poly2._raw({})
 ONE = Poly2._raw({(0, 0): 1})
-U = Poly2._raw({(1, 0): 1})
-V = Poly2._raw({(0, 1): 1})
 
 
 def q_pow(k: int) -> Poly2:
@@ -420,15 +404,10 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
 
 def eval_u1(a: Poly2) -> Poly2:
     """Substitute u := 1 (hence q = 1); the result lives in Z[v]."""
-    out: dict[Exponents, int] = {}
+    sums: dict[int, int] = {}
     for (_, ev), c in a._terms.items():
-        e = (0, ev)
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return Poly2._raw(out)
+        sums[ev] = sums.get(ev, 0) + c
+    return Poly2({(0, ev): c for ev, c in sums.items()})
 
 
 def qz_terms(a: Poly2) -> Iterator[tuple[Exponents, int]]:
@@ -549,9 +528,30 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
 # -- canonical text and JSON forms -------------------------------------------
 
 
-def _render(items: Iterable[tuple[list[tuple[str, int]], int]]) -> str:
+def _view(p: Poly2) -> tuple[bool, Iterator[tuple[int, int, int]]]:
+    """The printed view of p: whether it is the (q, z) view, and its rows.
+
+    The (q, z) view is taken when every exponent is even, and its exponents
+    are halved here.  The rows are (q- or u-exponent, z- or v-exponent,
+    coeff), yielded lazily in graded-lex order: the key (u + v, (u, v))
+    sorts as (u + v, u, v), hence as (q + z, q, z) in the (q, z) view.
+    """
+    qz = all(eu % 2 == 0 and ev % 2 == 0 for eu, ev in p._terms)
+    items = sorted(p._terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0]))
+    if qz:
+        return qz, ((eu // 2, ev // 2, c) for (eu, ev), c in items)
+    return qz, ((eu, ev, c) for (eu, ev), c in items)
+
+
+def to_text(p: Poly2) -> str:
+    """Canonical text form: graded-lex order, (q, z) view when exponents allow.
+
+    Examples: `1 - z - q*z` in the (q, z) view, `v*u^2` in the (u, v) view.
+    """
+    qz, rows = _view(p)
     parts: list[str] = []
-    for factors, coeff in items:
+    for a, b, coeff in rows:
+        factors = (("q", a), ("z", b)) if qz else (("v", b), ("u", a))
         body = "*".join(name if e == 1 else f"{name}^{e}"
                         for name, e in factors if e)
         mag = abs(coeff)
@@ -565,20 +565,7 @@ def _render(items: Iterable[tuple[list[tuple[str, int]], int]]) -> str:
             parts.append(text if coeff > 0 else f"-{text}")
         else:
             parts.append(f"{'+' if coeff > 0 else '-'} {text}")
-    return " ".join(parts)
-
-
-def to_text(p: Poly2) -> str:
-    """Canonical text form: graded-lex order, (q, z) view when exponents allow.
-
-    Examples: `1 - z - q*z` in the (q, z) view, `v*u^2` in the (u, v) view.
-    """
-    if p.is_zero:
-        return "0"
-    terms = p.sorted_terms()
-    if p.has_even_exponents():
-        return _render(([("q", eu // 2), ("z", ev // 2)], c) for (eu, ev), c in terms)
-    return _render(([("v", ev), ("u", eu)], c) for (eu, ev), c in terms)
+    return " ".join(parts) or "0"
 
 
 def to_json_obj(p: Poly2) -> dict:
@@ -587,12 +574,8 @@ def to_json_obj(p: Poly2) -> dict:
     Even-exponent polynomials serialize in the (q, z) view; anything with a
     half power keeps raw (u, v) exponents under the "uv" marker.
     """
-    terms = p.sorted_terms()
-    if p.has_even_exponents():
-        return {"vars": "qz",
-                "terms": [[ev // 2, eu // 2, str(c)] for (eu, ev), c in terms]}
-    return {"vars": "uv",
-            "terms": [[ev, eu, str(c)] for (eu, ev), c in terms]}
+    qz, rows = _view(p)
+    return {"vars": "qz" if qz else "uv", "terms": [[b, a, str(c)] for a, b, c in rows]}
 
 
 _COEFF_TEXT = re.compile(r"-?[1-9][0-9]*")

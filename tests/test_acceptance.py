@@ -77,9 +77,9 @@ def test_criterion_5_limit_formula():
     # z^1 coefficient: agreement with -1/(1-q) through q^(n-2), break at q^(n-1)
     for n in range(3, 13):
         lam_n = det_closed(n)
-        z1 = {eu // 2: c for (eu, ev), c in lam_n.iter_terms() if ev == 2}
+        z1 = {eu // 2: c for (eu, ev), c in lam_n.terms.items() if ev == 2}
         geo = invert_poch(1, n - 1)  # 1 + q + ... + q^(n-1)
-        limit_z1 = {eu // 2: -c for (eu, ev), c in geo.iter_terms()}
+        limit_z1 = {eu // 2: -c for (eu, ev), c in geo.terms.items()}
         ok = ok and all(z1.get(d, 0) == limit_z1.get(d, 0) for d in range(n - 1))
         ok = ok and z1.get(n - 1, 0) != limit_z1.get(n - 1, 0)
         ok = ok and stabilization_check(n, 1) == n - 2

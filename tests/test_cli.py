@@ -1,15 +1,20 @@
 """The command-line surface: canonical output, exit codes, JSON round-trips."""
 
+import dataclasses
+import hashlib
 import io
 import json
+import re
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from qlehmer import cli
 from qlehmer.lehmer import closed_factors, lehmer_matrix
 from qlehmer.poly import (
+    RAT_ONE,
     from_json_obj,
     ratfunc_from_json_obj,
     ratfunc_to_json_obj,
@@ -103,6 +108,18 @@ def test_verify_reports_a_wrong_closed_sum(monkeypatch):
     code, out = run("verify", "4")
     assert code == 1
     assert out.splitlines()[-1] == "closed sum equals recursion det: FAIL"
+
+
+def test_verify_names_the_first_wrong_product_entry(monkeypatch):
+    def wrong_factors(n):
+        f = closed_factors(n)
+        return dataclasses.replace(f, l_sub=(f.l_sub[0], RAT_ONE, *f.l_sub[2:]))
+
+    monkeypatch.setattr(cli.lehmer, "closed_factors", wrong_factors)
+    code, out = run("verify", "5")
+    assert code == 1
+    # product_check reports the 0-based (2, 1); verify prints rows and columns from 1.
+    assert "product L*U equals matrix: FAIL at entry (3, 2)" in out.splitlines()
 
 
 def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
@@ -286,3 +303,37 @@ def test_output_is_deterministic():
     ]
     for argv in commands:
         assert run(*argv) == run(*argv), argv
+
+
+# sha256 of stdout, pinned so that output bytes cannot drift between versions.
+PINNED_STDOUT = {
+    "det 40 --json": "62afdddd1ff96c3d2445b031bb9d50a1dfc67d122c083ac044bb4b9e99beb6f8",
+    "lambda 30": "cb6d7fdc8777a00956a490b9ae66a4be197642f307ae1f2dbad9e0a25e036921",
+    "lu 12": "27e53fbb5171318970f6e4e361889db9fe817ebfeea26f0eb216b3b633718c8b",
+    "lu 12 --json": "f6145e0d9fb5508787b0fc55a78c6c268918a74f9c1aaa8cb64b10c33643cffb",
+    "matrix 7": "b22e01be96329431e3c307198d1a61e7ab089f05031d1236cdc9a33e92c3459a",
+    "matrix 7 --json": "bac9175c81ee570e1771ad0c311526b951ac5aeb8dfc9bd0d9be5ba6b2893a58",
+    "qbinom 30 12": "3a84057e61fd2560fe54773b6e90428c151c37df154d795e6844a2035cf6857d",
+    "qbinom 30 12 --json": "4001031869afde9276cd381e99b6c008bc72c668eba64a0ed508ba968946d9b5",
+    "limit --zdeg 8 --qdeg 60": "d3254fd558a9a7239f67063adf746e2834491e77575b0c378b3277c4507d87ab",
+    "limit --zdeg 8 --qdeg 60 --json":
+        "e47ecafa89349a02b75a3972b6a7bddb9264f5d710cd2e22efb2966b2bad9ace",
+    "verify 10": "dd52bbdf77d74e2a92e4e09255251dea8937a15e1ff9bc3132339e339fa65c96",
+}
+
+
+def readme_examples():
+    """The `$ qlehmer ...` commands of README.md with the output shown under each."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.findall(r"^\$ qlehmer (.+)\n((?:(?!\$ |```).*\n)*)", readme, re.MULTILINE)
+
+
+def test_stdout_bytes_are_pinned_and_readme_examples_hold():
+    for command, digest in PINNED_STDOUT.items():
+        code, out = run(*command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+    examples = readme_examples()
+    assert [command for command, _ in examples] == ["det 3", "lu 3", "verify 8"]
+    for command, shown in examples:
+        assert run(*command.split()) == (0, shown), command

@@ -72,8 +72,8 @@ def kronecker(a, b):
 def schoolbook(a, b):
     """Reference product: the plain double loop over term pairs."""
     out = {}
-    for (au, av), ac in a.iter_terms():
-        for (bu, bv), bc in b.iter_terms():
+    for (au, av), ac in a.terms.items():
+        for (bu, bv), bc in b.terms.items():
             e = (au + bu, av + bv)
             out[e] = out.get(e, 0) + ac * bc
     return Poly2(out)
@@ -559,3 +559,65 @@ def test_text_examples():
     assert to_text(ZERO) == "0"
     assert to_text(Poly2.constant(-7)) == "-7"
     assert to_text(2 * q_pow(2) + 1) == "1 + 2*q^2"
+
+
+def test_poly2_is_unhashable_like_ratfunc():
+    # Poly2.constant(3) == 3, so no hash could agree with that equality.
+    for value in (Poly2.constant(3), RatFunc(ONE)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def reference_text(terms):
+    """The documented text grammar, written out independently of `to_text`.
+
+    Terms in graded-lex order on (u + v, u, v); the (q, z) view when every
+    exponent is even, with factors q then z, else factors v then u; `^e`
+    only for e > 1; a unit coefficient dropped except on a constant term;
+    the first sign attached to its term, later ones joined by " + " / " - ".
+    """
+    if not terms:
+        return "0"
+    qz = all(eu % 2 == 0 and ev % 2 == 0 for eu, ev in terms)
+    out = ""
+    for eu, ev in sorted(terms, key=lambda e: (e[0] + e[1], e[0], e[1])):
+        c = terms[(eu, ev)]
+        factors = [("q", eu // 2), ("z", ev // 2)] if qz else [("v", ev), ("u", eu)]
+        body = "*".join(name + (f"^{e}" if e > 1 else "") for name, e in factors if e > 0)
+        word = body if body and abs(c) == 1 else str(abs(c)) + ("*" + body if body else "")
+        if not out:
+            out = ("-" if c < 0 else "") + word
+        else:
+            out += (" - " if c < 0 else " + ") + word
+    return out
+
+
+def reference_rows(terms):
+    """[z_exp, q_exp, coeff] rows of the JSON form, in the text's term order."""
+    qz = all(eu % 2 == 0 and ev % 2 == 0 for eu, ev in terms)
+    d = 2 if qz else 1
+    return [[ev // d, eu // d, str(terms[(eu, ev)])]
+            for eu, ev in sorted(terms, key=lambda e: (e[0] + e[1], e[0], e[1]))]
+
+
+text_coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
+                        st.integers(-2**200, 2**200)).filter(bool)
+
+
+@st.composite
+def printable_term_maps(draw):
+    """Term maps with only even exponents, or with at least one odd one."""
+    terms = draw(st.dictionaries(exponent_pairs, text_coeffs, max_size=8))
+    if draw(st.booleans()):
+        return {(2 * eu, 2 * ev): c for (eu, ev), c in terms.items()}
+    odd = draw(exponent_pairs.filter(lambda e: e[0] % 2 or e[1] % 2))
+    return {**terms, odd: draw(text_coeffs)}
+
+
+@given(printable_term_maps())
+def test_text_and_json_follow_the_documented_grammar(terms):
+    p = Poly2(terms)
+    assert to_text(p) == reference_text(terms)
+    obj = to_json_obj(p)
+    assert obj["vars"] == ("uv" if any(eu % 2 or ev % 2 for eu, ev in terms) else "qz")
+    assert obj["terms"] == reference_rows(terms)

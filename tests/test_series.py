@@ -40,7 +40,7 @@ class TestInvertPoch:
             for trunc in range(31):
                 inv = invert_poch(k, trunc)
                 product = inv * poch_qq(k)
-                low = Poly2({e: c for e, c in product.iter_terms()
+                low = Poly2({e: c for e, c in product.terms.items()
                              if e[0] <= 2 * trunc})
                 assert low == ONE, (k, trunc)
 
