@@ -11,8 +11,8 @@ worst case.  Beyond those:
   product check n <= 16) so that it stays fast; since large products go
   through Kronecker substitution these routes take well under a second there.
 * Bareiss runs up to n = 16 in the tests (about 0.13 s there) and stays out
-  of `verify`: at n = 22 it takes about 1 s, more than twice all of
-  `verify 22`.  Since `exact_div` divides packed ints, its cost sits in the
+  of `verify`: at n = 22 it takes about 0.75 s, over ten times the four
+  checks of `verify 22`.  Since `exact_div` divides packed ints, its cost sits in the
   packing and unpacking of the entries, not in a leading-term scan (4.3 s
   at n = 22 before).
 

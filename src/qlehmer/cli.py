@@ -33,9 +33,11 @@ def _nonneg_int(text: str) -> int:
 # Largest sizes the verbs accept; larger ones are refused with exit 2 before
 # any work starts.  Times and peak memory are from a shared 2-core host.
 #
-# `verify`: the checks cost about n^6; `verify 40` takes 7 s and `verify 48`
-# 22 s, while `verify 64` would run for minutes.
-VERIFY_MAX_N = 48
+# `verify`: the checks cost about n^6.  Most pairs share a denominator (see
+# `qlehmer.poly`), so the time goes into two lam(j-1) * lam(j) products per
+# sub-diagonal entry of L*U: `verify 40` takes 1.7 s, `verify 48` 5.4 s,
+# `verify 52` 8.4 s and 44 MB, and `verify 56` 15 s.
+VERIFY_MAX_N = 52
 # `det` and `lambda`: the recursion keeps two lam's at a time, so time, not
 # memory, is the limit; it grows about as n^4 (lam(n) has about n^3/24 terms
 # and each of the n steps passes over them).  `det 128 --json` takes 1.1 s and

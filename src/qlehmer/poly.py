@@ -18,7 +18,11 @@ The term order used for printing is graded lexicographic on
 Subtraction copies the minuend and subtracts the other operand's terms in
 one pass, deleting any that cancel; it does not negate first.
 
-Multiplication takes one of three paths.  When the smaller operand is a
+Multiplication returns the other operand itself when one operand is `ONE`
+(the module's instance, not any constant 1); instances are immutable, so
+sharing is safe.  `RatFunc` keeps a polynomial as its numerator over `ONE`,
+so this spares a copy whenever such a value meets a fraction.  Otherwise
+multiplication takes one of three paths.  When the smaller operand is a
 monomial, as in the shifts z q^(j-2) * lam(j-2) of the recursions, the
 product is the other operand's term map with every exponent shifted and
 every coefficient scaled, built in one dict comprehension: a shift is
@@ -41,8 +45,12 @@ doubles until the certificate passes, up to a width derived from
 Mignotte's bound, at which a failed certificate proves non-divisibility.
 
 `RatFunc` is the quotient-field layer: a num/den pair of polynomials with
-den != 0.  It never reduces by GCD; equality is cross-multiplication, which
-is all the LU verification needs.
+den != 0.  It never reduces by GCD.  Equality and sums use two identities
+of the fraction field, and cross-multiply only when the denominators
+differ: a/d == b/d iff a == b, and a/d + b/d == (a + b)/d.  The first holds
+because Z[u, v] is an integral domain: (a - b) * d == 0 with d != 0 forces
+a == b.  The LU verification compares and adds entries built from the same
+(lam(j), lam(j-1)) pairs, so most of its pairs share a denominator.
 """
 
 from __future__ import annotations
@@ -145,6 +153,11 @@ class Poly2:
     def __mul__(self, other: "Poly2 | int") -> "Poly2":
         other = _coerce(other)
         a, b = self._terms, other._terms
+        # Sharing is safe: instances are immutable by convention.
+        if a is ONE._terms:
+            return other
+        if b is ONE._terms:
+            return self
         if not a or not b:
             return Poly2._raw({})
         if len(a) > len(b):
@@ -436,10 +449,12 @@ def eval_qz(a: Poly2, q_val: int, z_val: int) -> int:
 class RatFunc:
     """Quotient num/den of two polynomials, den != 0.
 
-    Carries no GCD reduction; equality is cross-multiplication, so 2/2 == 1/1
-    as values even though the stored pairs differ.  The only normalization is
-    that a zero numerator snaps the denominator to 1, which keeps zero tests
-    and short-circuits cheap.
+    Carries no GCD reduction, so 2/2 == 1/1 as values even though the stored
+    pairs differ.  Equality is `ratfunc_eq`, which cross-multiplies only when
+    the denominators differ, and a sum over a shared denominator keeps it:
+    a/d + b/d is (a + b)/d.  The only normalization is that a zero numerator
+    snaps the denominator to 1, which keeps zero tests and short-circuits
+    cheap.
     """
 
     __slots__ = ("num", "den")
@@ -464,6 +479,8 @@ class RatFunc:
             return other
         if other.is_zero:
             return self
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
@@ -521,7 +538,14 @@ RAT_ONE = RatFunc(ONE)
 
 
 def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
-    """True iff a.num * b.den == b.num * a.den exactly."""
+    """True iff a.num * b.den == b.num * a.den exactly.
+
+    Over a shared denominator d this is a.num == b.num, with no product:
+    Z[u, v] is an integral domain, so (a.num - b.num) * d == 0 with d != 0
+    forces a.num == b.num.
+    """
+    if a.den == b.den:
+        return a.num == b.num
     return a.num * b.den == b.num * a.den
 
 

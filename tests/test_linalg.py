@@ -130,6 +130,27 @@ class TestProductCheck:
             assert ratfunc_eq(compared[j + 1, j][0], RatFunc(band_monomial(j + 1)))
 
 
+def test_shared_denominators_spare_the_big_products(monkeypatch):
+    # Products with more than one term on each side: none in the factor
+    # comparison, whose pairs share their denominators, and at most two per
+    # sub-diagonal entry of L*U, l_sub[j] * u_diag[j].
+    n = 16
+    m, f = lehmer_matrix(n), closed_factors(n)
+    big = []
+    mul = Poly2.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, Poly2) and len(a.terms) > 1 and len(b.terms) > 1:
+            big.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly2, "__mul__", counting_mul)
+    assert lu_generic(m) == f
+    assert big == []
+    assert product_check(f, m)
+    assert len(big) <= 2 * (n - 1)
+
+
 class TestDetCofactor:
     def test_lehmer_small(self):
         assert det_cofactor(lehmer_matrix(2)) == ONE - Poly2.monomial(1, 0, 2)

@@ -298,6 +298,50 @@ def test_monomial_shift_scales_and_moves_both_exponents():
     assert 4 * p == P({(0, 0): 4, (2, 1): -12})
 
 
+@given(st.one_of(polys, wide_polys()))
+def test_one_times_p_is_p(p):
+    assert ONE * p == p * ONE == p
+
+
+@settings(deadline=None)
+@given(exponent_pairs.filter(any), st.one_of(nonzero_polys, wide_polys()))
+def test_unit_monomial_still_shifts(e, p):
+    # A single term with coefficient 1 is ONE only at (0, 0).
+    m = Poly2.monomial(1, *e)
+    assert m * p == p * m == schoolbook(m, p)
+
+
+# -- shared-denominator identities of RatFunc ----------------------------------
+
+
+@st.composite
+def denominator_pairs(draw):
+    """(d, e) with d nonzero and e an equal copy of d, or d with one
+    coefficient (any of them, leading or not) doubled: same term count,
+    same exponents, different value."""
+    d = draw(nonzero_polys)
+    terms = d.terms
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(terms)))
+        terms[key] *= 2
+    return d, Poly2(terms)
+
+
+@given(polys, polys, denominator_pairs())
+def test_ratfunc_eq_matches_cross_multiplication(a, b, dens):
+    d, e = dens
+    for x, y in ((a, a), (a, b)):
+        assert ratfunc_eq(RatFunc(x, d), RatFunc(y, e)) == (x * e == y * d)
+
+
+@given(polys, polys, denominator_pairs())
+def test_sum_and_difference_match_cross_multiplication(a, b, dens):
+    d, e = dens
+    x, y = RatFunc(a, d), RatFunc(b, e)
+    for got, num in ((x + y, a * e + b * d), (x - y, a * e - b * d)):
+        assert got.num * (d * e) == num * got.den
+
+
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
