@@ -13,8 +13,7 @@ worst case.  Beyond those:
 * Bareiss runs up to n = 16 in the tests (about 0.13 s there) and stays out
   of `verify`: at n = 22 it takes about 0.75 s, over ten times the four
   checks of `verify 22`.  Since `exact_div` divides packed ints, its cost sits in the
-  packing and unpacking of the entries, not in a leading-term scan (4.3 s
-  at n = 22 before).
+  packing and unpacking of the entries.
 
 The recursion table times the table `tuple(lambdas(n))`, the recursion
 behind `qlehmer det` and `qlehmer lambda` (which keep only its last two
@@ -32,7 +31,7 @@ different hardware.
 import argparse
 import time
 
-from qlehmer.lehmer import closed_factors, det_closed, lambdas, lehmer_matrix
+from qlehmer.lehmer import closed_factors, lambda_rec, lambdas, lehmer_matrix
 from qlehmer.linalg import det_bareiss, det_cofactor, lu_generic, product_check
 from qlehmer.poly import q_pow, z_pow
 from qlehmer.qcomb import gauss_product
@@ -118,7 +117,7 @@ def main() -> None:
           f"{'lu_generic':>11} {'product':>9}")
     for n in range(1, args.max_n + 1):
         m = lehmer_matrix(n)
-        t_closed = timed(lambda: det_closed(n))
+        t_closed = timed(lambda: lambda_rec(n))
         t_cont = timed(lambda: det_cofactor(m))
         if n <= args.max_bareiss:
             rows = [[m.entry(i, j) for j in range(n)] for i in range(n)]

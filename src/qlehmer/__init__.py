@@ -22,7 +22,6 @@ from .lehmer import (
     BandedFactors,
     TriMatrix,
     closed_factors,
-    det_closed,
     lambda_rec,
     lambda_sum,
     lambdas,

@@ -138,7 +138,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    _print_poly(lehmer.det_closed(args.n), args.json)
+    _print_poly(lehmer.lambda_rec(args.n), args.json)
     return 0
 
 
@@ -183,7 +183,7 @@ def _cmd_dyck(args) -> int:
 def _cmd_verify(args) -> int:
     m = lehmer.lehmer_matrix(args.n)
     f = lehmer.closed_factors(args.n)
-    det = lehmer.det_closed(args.n)
+    det = lehmer.lambda_rec(args.n)
     lu_ok = linalg.lu_generic(m) == f
     product = linalg.product_check(f, m)
     # A failed product check names its first differing entry, 1-based.

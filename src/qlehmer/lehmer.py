@@ -13,9 +13,9 @@ lam(n), and at q = 1, z = -1 the family collapses to Fibonacci numbers.
 `lambda_sum` (closed sum, via the product-form binomials) and `lambda_rec`
 (three-term recursion) are two independent constructions; tests require them
 to agree term for term.  The recursion is written once, in the generator
-`lambdas`, which keeps only the last two values: `lambda_rec(n)` and
-`det_closed(n)` hold about three lam's at a time, so their memory grows as
-the size of lam(n) (about n^3/24 terms), not as the whole table (about n^4).
+`lambdas`, which keeps only the last two values: `lambda_rec(n)`, which is
+also det M(n), holds about three lam's at a time, so its memory grows as the
+size of lam(n) (about n^3/24 terms), not as the whole table (about n^4).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .poly import ONE, Poly2, RatFunc, q_pow, z_pow
+from .poly import ONE, ZERO, Poly2, RatFunc, q_pow, z_pow
 from .qcomb import gauss_product
 
 
@@ -56,7 +56,7 @@ class TriMatrix:
             return self.superdiag[i]
         if i == j + 1:
             return self.subdiag[j]
-        return Poly2.constant(0)
+        return ZERO
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,11 @@ def lambda_sum(j: int) -> Poly2:
     """lam(j) from the closed sum, one Gaussian-binomial term per z-power."""
     if j < 0:
         raise ValueError("index must be nonnegative")
-    total = Poly2.constant(0)
+    total = ZERO
     for k in range(j // 2 + 1):
-        sign = -1 if k % 2 else 1
-        total = total + sign * gauss_product(j - k, k) * q_pow(k * (k - 1)) * z_pow(k)
+        # (-1)^k q^(k(k-1)) z^k as one monomial in (u, v)
+        term = Poly2.monomial((-1) ** k, 2 * k * (k - 1), 2 * k)
+        total = total + gauss_product(j - k, k) * term
     return total
 
 
@@ -109,7 +110,11 @@ def lambdas(j_max: int) -> Iterator[Poly2]:
 
 
 def lambda_rec(j: int) -> Poly2:
-    """lam(j) alone, holding two values of the recursion at a time."""
+    """lam(j) alone, holding two values of the recursion at a time.
+
+    For j >= 1 this is det M(j): the U pivots lam(i)/lam(i-1) telescope to
+    lam(j)/lam(0).
+    """
     for lam in lambdas(j):
         pass
     return lam
@@ -122,8 +127,6 @@ def band_monomial(i: int) -> Poly2:
 
 def lehmer_matrix(n: int) -> TriMatrix:
     """The n x n Lehmer matrix: unit diagonal, bands v * u**(i-1)."""
-    if n < 1:
-        raise ValueError("matrix dimension must be positive")
     band = tuple(band_monomial(i) for i in range(1, n))
     return TriMatrix(n=n, diag=(ONE,) * n, superdiag=band, subdiag=band)
 
@@ -141,10 +144,3 @@ def closed_factors(n: int) -> BandedFactors:
     u_super = tuple(band_monomial(j) for j in range(1, n))
     l_sub = tuple(RatFunc(band_monomial(j) * lam[j - 1], lam[j]) for j in range(1, n))
     return BandedFactors(n=n, u_diag=u_diag, u_super=u_super, l_sub=l_sub)
-
-
-def det_closed(n: int) -> Poly2:
-    """det M(n) in closed form: the U pivots telescope to lam(n)/lam(0)."""
-    if n < 1:
-        raise ValueError("matrix dimension must be positive")
-    return lambda_rec(n)

@@ -26,16 +26,15 @@ multiplication takes one of three paths.  When the smaller operand is a
 monomial, as in the shifts z q^(j-2) * lam(j-2) of the recursions, the
 product is the other operand's term map with every exponent shifted and
 every coefficient scaled, built in one dict comprehension: a shift is
-injective on exponents, so no two terms merge and none becomes zero.  When
-the smaller operand has fewer than `KRONECKER_MIN_TERMS` terms, or when the
-product's exponent box has more digits than there are term pairs, it runs
-the dict convolution over all term pairs.  Otherwise it uses Kronecker
-substitution: both operands are packed into
-single ints, multiplied once by CPython's bigint multiply, and the product
-is unpacked.  Before packing, each variable's exponents are shifted by the
-operand's minimum and divided by the gcd of the offsets, so the all-even
-(u, v) exponents of (q, z) values such as lam(n) cost nothing extra over the
-(q, z) view.
+injective on exponents, so no two terms merge and none becomes zero.
+Otherwise one size test decides: when the product's exponent box has no
+more digits than there are term pairs, it uses Kronecker substitution, and
+else it runs the dict convolution over all term pairs.  Kronecker
+substitution packs both operands into single ints, multiplies them once by
+CPython's bigint multiply, and unpacks the product.  Before packing, each
+variable's exponents are shifted by the operand's minimum and divided by
+the gcd of the offsets, so the all-even (u, v) exponents of (q, z) values
+such as lam(n) cost nothing extra over the (q, z) view.
 
 `exact_div` packs in the same layout and divides once with `divmod`; a
 nonzero remainder proves that the divisor does not divide.  The quotient is
@@ -169,12 +168,10 @@ class Poly2:
             if c == 1:
                 return Poly2._raw({(eu + du, ev + dv): x for (eu, ev), x in b.items()})
             return Poly2._raw({(eu + du, ev + dv): c * x for (eu, ev), x in b.items()})
-        if len(a) >= KRONECKER_MIN_TERMS:
-            grid = _grid(a, b)
-            _, _, _, span_a, span_b = grid
-            box = (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1)
-            if box <= len(a) * len(b):
-                return Poly2._raw(_mul_kronecker(a, b, grid))
+        grid = _grid(a, b)
+        _, _, _, span_a, span_b = grid
+        if (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1) <= len(a) * len(b):
+            return Poly2._raw(_mul_kronecker(a, b, grid))
         out: dict[Exponents, int] = {}
         get = out.get
         for (au, av), ac in a.items():
@@ -213,12 +210,6 @@ class Poly2:
 
     def __repr__(self) -> str:
         return f"Poly2({to_text(self)!r})"
-
-
-# Term count of the smaller operand from which `Poly2.__mul__` packs instead of
-# running the dict convolution.  Below it the per-term packing and the pass over
-# the exponent box cost more than the len(a) * len(b) loop saves.
-KRONECKER_MIN_TERMS = 10
 
 
 def _grid(a: dict[Exponents, int], b: dict[Exponents, int]):
@@ -453,8 +444,10 @@ class RatFunc:
     pairs differ.  Equality is `ratfunc_eq`, which cross-multiplies only when
     the denominators differ, and a sum over a shared denominator keeps it:
     a/d + b/d is (a + b)/d.  The only normalization is that a zero numerator
-    snaps the denominator to 1, which keeps zero tests and short-circuits
-    cheap.
+    snaps the denominator to `ONE`.  So zero needs no shortcut of its own:
+    with a zero operand the general formulas only multiply by zero or by
+    `ONE` and add zero, which `Poly2` answers without a pass over any terms,
+    and a zero result snaps its denominator back to `ONE`.
     """
 
     __slots__ = ("num", "den")
@@ -475,10 +468,6 @@ class RatFunc:
 
     def __add__(self, other: "RatFunc | Poly2 | int") -> "RatFunc":
         other = _coerce_rat(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
@@ -497,8 +486,6 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc | Poly2 | int") -> "RatFunc":
         other = _coerce_rat(other)
-        if self.is_zero or other.is_zero:
-            return RAT_ZERO
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -507,8 +494,6 @@ class RatFunc:
         other = _coerce_rat(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        if self.is_zero:
-            return RAT_ZERO
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other: object) -> bool:

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .lehmer import lambdas
-from .poly import ZERO, Poly2, eval_u1, q_poly, q_pow, qz_terms, to_text
+from .poly import ZERO, Poly2, eval_u1, q_poly, qz_terms, to_text
 from .qcomb import gauss_product, poch_qq
 
 
@@ -98,7 +98,7 @@ def limit_det(z_trunc: int, q_trunc: int) -> Series2:
             coeffs.append(ZERO)
             continue
         body = invert_poch(k, q_trunc - shift)
-        coeffs.append((-1) ** k * q_pow(shift) * body)
+        coeffs.append(Poly2.monomial((-1) ** k, 2 * shift, 0) * body)
     return Series2(z_trunc=z_trunc, q_trunc=q_trunc, coeffs=tuple(coeffs))
 
 

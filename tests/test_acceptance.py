@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 from qlehmer import cli
 from qlehmer.lehmer import (
     closed_factors,
-    det_closed,
+    lambda_rec,
     lambda_sum,
     lambdas,
     lehmer_matrix,
@@ -71,12 +71,12 @@ def test_criterion_5_limit_formula():
     # n = 12 is the sharp certified threshold for (K, D) = (4, 10): the
     # stabilization degree n - 2k + k(k-1) first clears D = 10 for every
     # z-power there, and n = 11 provably falls short at z^1.
-    ok = series_from_poly(det_closed(12), 4, 10) == target
-    ok = ok and series_from_poly(det_closed(11), 4, 10) != target
-    ok = ok and series_from_poly(det_closed(18), 4, 10) == target
+    ok = series_from_poly(lambda_rec(12), 4, 10) == target
+    ok = ok and series_from_poly(lambda_rec(11), 4, 10) != target
+    ok = ok and series_from_poly(lambda_rec(18), 4, 10) == target
     # z^1 coefficient: agreement with -1/(1-q) through q^(n-2), break at q^(n-1)
     for n in range(3, 13):
-        lam_n = det_closed(n)
+        lam_n = lambda_rec(n)
         z1 = {eu // 2: c for (eu, ev), c in lam_n.terms.items() if ev == 2}
         geo = invert_poch(1, n - 1)  # 1 + q + ... + q^(n-1)
         limit_z1 = {eu // 2: -c for (eu, ev), c in geo.terms.items()}

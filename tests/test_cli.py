@@ -126,7 +126,7 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
     def forbidden(*args):
         raise AssertionError("verify computed past its cap")
 
-    for name in ("lehmer_matrix", "closed_factors", "det_closed", "lambda_sum"):
+    for name in ("lehmer_matrix", "closed_factors", "lambda_rec", "lambda_sum"):
         monkeypatch.setattr(cli.lehmer, name, forbidden)
     with pytest.raises(SystemExit) as exc:
         run("verify", str(cli.VERIFY_MAX_N + 1))
@@ -145,7 +145,7 @@ def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkey
     def forbidden(*args):
         raise AssertionError(f"{verb} computed past its cap")
 
-    for name in ("lambdas", "lambda_rec", "det_closed", "closed_factors", "lehmer_matrix"):
+    for name in ("lambdas", "lambda_rec", "closed_factors", "lehmer_matrix"):
         monkeypatch.setattr(cli.lehmer, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:

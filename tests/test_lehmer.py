@@ -8,7 +8,6 @@ import pytest
 from qlehmer.lehmer import (
     band_monomial,
     closed_factors,
-    det_closed,
     lambda_rec,
     lambda_sum,
     lambdas,
@@ -84,9 +83,9 @@ def traced_peak(compute) -> int:
 
 
 def test_det_holds_two_values_not_the_table():
-    # At n = 64 the table lam(0..64) is about three times det_closed's peak.
+    # At n = 64 the table lam(0..64) is about three times lambda_rec's peak.
     n = 64
-    assert traced_peak(lambda: det_closed(n)) < traced_peak(lambda: tuple(lambdas(n))) / 2
+    assert traced_peak(lambda: lambda_rec(n)) < traced_peak(lambda: tuple(lambdas(n))) / 2
 
 
 def test_sum_equals_rec_up_to_24():
@@ -166,18 +165,15 @@ class TestClosedFactors:
 
 class TestDetClosed:
     def test_small_values(self):
-        assert det_closed(1) == ONE
-        assert det_closed(2) == qz_poly({(0, 0): 1, (0, 1): -1})
-        assert det_closed(3) == qz_poly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
+        assert lambda_rec(1) == ONE
+        assert lambda_rec(2) == qz_poly({(0, 0): 1, (0, 1): -1})
+        assert lambda_rec(3) == qz_poly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
 
     def test_half_powers_cancel(self):
         # The matrix entries carry odd v-exponents; the determinant must not.
         for n in range(1, 17):
-            list(qz_terms(det_closed(n)))
+            list(qz_terms(lambda_rec(n)))
 
-    def test_rejects_n0(self):
-        with pytest.raises(ValueError):
-            det_closed(0)
 
 
 def test_pivot_telescoping_up_to_16():

@@ -10,7 +10,7 @@ from qlehmer.lehmer import (
     TriMatrix,
     band_monomial,
     closed_factors,
-    det_closed,
+    lambda_rec,
     lambda_sum,
     lehmer_matrix,
 )
@@ -154,11 +154,11 @@ def test_shared_denominators_spare_the_big_products(monkeypatch):
 class TestDetCofactor:
     def test_lehmer_small(self):
         assert det_cofactor(lehmer_matrix(2)) == ONE - Poly2.monomial(1, 0, 2)
-        assert det_cofactor(lehmer_matrix(3)) == det_closed(3)
+        assert det_cofactor(lehmer_matrix(3)) == lambda_rec(3)
 
     def test_matches_closed_form_up_to_14(self):
         for n in range(1, 15):
-            assert det_cofactor(lehmer_matrix(n)) == det_closed(n), n
+            assert det_cofactor(lehmer_matrix(n)) == lambda_rec(n), n
 
 
 class TestDetBareiss:
@@ -175,7 +175,7 @@ class TestDetBareiss:
 
     def test_lehmer_up_to_16(self):
         for n in range(1, 17):
-            assert det_bareiss(rows_of(lehmer_matrix(n))) == det_closed(n), n
+            assert det_bareiss(rows_of(lehmer_matrix(n))) == lambda_rec(n), n
 
     def test_rejects_non_square_grid(self):
         for rows in ([], [[ONE, ZERO]], [[ONE, ZERO], [ONE]]):

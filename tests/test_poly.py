@@ -4,14 +4,14 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlehmer import poly
 from qlehmer.lehmer import lambdas
 from qlehmer.poly import (
-    KRONECKER_MIN_TERMS,
     ONE,
+    RAT_ZERO,
     ZERO,
     ExactDivisionError,
     Poly2,
@@ -46,7 +46,7 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 @st.composite
 def wide_polys(draw):
-    """Operands above the Kronecker crossover: 10-60 terms on a shifted grid.
+    """Operands of 10-60 terms on a shifted grid.
 
     Each variable gets its own minimum exponent and stride (stride 1 mixes
     parities, a zero v-stride keeps every v-exponent equal), and the
@@ -56,7 +56,7 @@ def wide_polys(draw):
     step_u, step_v = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     span_u, span_v = 25, (7 if step_v else 1)
     cells = draw(st.sets(st.integers(0, span_u * span_v - 1),
-                         min_size=KRONECKER_MIN_TERMS, max_size=min(60, span_u * span_v)))
+                         min_size=10, max_size=min(60, span_u * span_v)))
     coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**200, 2**200)).filter(bool)
     return Poly2({(low_u + step_u * (k % span_u), low_v + step_v * (k // span_u)): draw(coeffs)
                   for k in cells})
@@ -64,7 +64,7 @@ def wide_polys(draw):
 
 def kronecker(a, b):
     """The packed product's term map, from the kernel itself, so that the size
-    guard in `Poly2.__mul__` cannot route the operands to the dict loop."""
+    test in `Poly2.__mul__` cannot route the operands to the dict loop."""
     ta, tb = a.terms, b.terms
     return poly._mul_kronecker(ta, tb, poly._grid(ta, tb))
 
@@ -204,6 +204,28 @@ class TestRatFunc:
     def test_zero_numerator_normalizes_denominator(self):
         r = RatFunc(ZERO, ONE - V)
         assert r.den == ONE and r.is_zero
+
+    def test_zero_operands_stay_free(self, monkeypatch):
+        # Zero has no shortcut of its own: the general formulas meet only ZERO
+        # and ONE, so a sum keeps the other operand's num and den themselves
+        # and no product of two multi-term polynomials is formed.
+        lam = tuple(lambdas(6))
+        x = RatFunc(lam[6], lam[5])
+        big = []
+        mul = Poly2.__mul__
+
+        def spy(a, b):
+            if len(a.terms) > 1 and len(b.terms) > 1:
+                big.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly2, "__mul__", spy)
+        monkeypatch.setattr(Poly2, "__rmul__", spy)
+        for total in (RAT_ZERO + x, x + RAT_ZERO):
+            assert total.num is x.num and total.den is x.den
+        for product in (x * RAT_ZERO, RAT_ZERO * x, RAT_ZERO / x):
+            assert product.is_zero and product.den == ONE
+        assert big == []
 
 
 # -- algebraic laws on random small polynomials -------------------------------
@@ -347,7 +369,7 @@ def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
 
 
-# -- the Kronecker multiply path (both operands at or above the crossover) -----
+# -- the Kronecker multiply path (both operands of more than one term) ---------
 
 
 @given(wide_polys(), wide_polys())
@@ -358,14 +380,13 @@ def test_kronecker_product_matches_schoolbook(a, b):
     assert kronecker(a, b) == product.terms
 
 
-@given(wide_polys(), st.integers(1, 3), st.integers(0, 2), st.integers(KRONECKER_MIN_TERMS, 30))
+@given(wide_polys(), st.integers(1, 3), st.integers(0, 2), st.integers(10, 30))
 def test_kronecker_product_cancels(c, step_u, step_v, m):
     # (1 - x)(1 + x + ... + x^(m-1)) telescopes to 1 - x^m, so most digits
     # of the packed product cancel to zero and must leave no stored terms.
     x = Poly2.monomial(1, step_u, step_v)
     a = schoolbook(c, ONE - x)
     geometric = Poly2({(step_u * i, step_v * i): 1 for i in range(m)})
-    assume(len(a.terms) >= KRONECKER_MIN_TERMS)
     product = a * geometric
     assert product == schoolbook(c, ONE - x ** m)
     assert all(coeff != 0 for coeff in product.terms.values())
@@ -376,9 +397,9 @@ def test_kronecker_digit_width_holds_the_tight_bound():
     # Constant-coefficient runs attain min(#a, #b) * max|a| * max|b| in the
     # middle of the product, so every digit width meets its largest value.
     for c in (*range(1, 64), 2**100 - 1):
-        a = Poly2({(i, 1): c for i in range(KRONECKER_MIN_TERMS)})
+        a = Poly2({(i, 1): c for i in range(10)})
         for sign in (1, -1):
-            b = Poly2({(i, 0): sign * c for i in range(KRONECKER_MIN_TERMS + 2)})
+            b = Poly2({(i, 0): sign * c for i in range(12)})
             assert a * b == schoolbook(a, b)
 
 
@@ -386,9 +407,33 @@ def test_large_lambda_product_matches_evaluation():
     # Evaluation is a ring map to Z and shares no code with any multiply path.
     lam = tuple(lambdas(32))
     product = lam[31] * lam[32]
-    assert len(lam[31].terms) >= KRONECKER_MIN_TERMS
+    assert len(lam[31].terms) >= 10
     for q, z in [(2, 3), (-3, 2), (5, -7), (1, -1), (-2, -5), (7, 11)]:
         assert eval_qz(product, q, z) == eval_qz(lam[31], q, z) * eval_qz(lam[32], q, z)
+
+
+def test_one_size_rule_decides_packing(monkeypatch):
+    # Operands of more than one term are packed exactly when the product's
+    # exponent box, after the common strides, has no more digits than there
+    # are term pairs.
+    packed = []
+    kernel = poly._mul_kronecker
+
+    def spy(a, b, grid):
+        packed.append(grid)
+        return kernel(a, b, grid)
+
+    monkeypatch.setattr(poly, "_mul_kronecker", spy)
+    one_q, far_q, far_z = ONE + q_pow(1), ONE + q_pow(1000), ONE + z_pow(1000)
+    # Box 3 (q-degrees 0..2) against 4 term pairs.
+    assert one_q * one_q == schoolbook(one_q, one_q)
+    assert len(packed) == 1
+    # The strides reduce the box to 2 x 2 digits against 4 term pairs.
+    assert far_q * far_z == schoolbook(far_q, far_z)
+    assert len(packed) == 2
+    # Box 1002 (stride q, q-degrees 0..1001) against 4 term pairs.
+    assert one_q * far_q == schoolbook(one_q, far_q)
+    assert len(packed) == 2
 
 
 def test_sparse_operands_take_the_dict_loop(monkeypatch):
@@ -398,7 +443,7 @@ def test_sparse_operands_take_the_dict_loop(monkeypatch):
         raise AssertionError("sparse product was packed")
 
     sparse = Poly2({**{(i, 0): 1 for i in range(9)}, (10**6, 0): 1})
-    assert len(sparse.terms) >= KRONECKER_MIN_TERMS
+    assert len(sparse.terms) == 10
     monkeypatch.setattr(poly, "_mul_kronecker", refuse)
     assert sparse * sparse == schoolbook(sparse, sparse)
     lam = tuple(lambdas(22))

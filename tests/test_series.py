@@ -6,7 +6,7 @@ import re
 import pytest
 
 from qlehmer import poly, series
-from qlehmer.lehmer import det_closed
+from qlehmer.lehmer import lambda_rec
 from qlehmer.poly import ONE, Poly2, q_pow
 from qlehmer.qcomb import poch_qq
 from qlehmer.series import (
@@ -93,7 +93,7 @@ class TestSeries2:
 
 class TestSeriesFromPoly:
     def test_truncates_finite_determinant(self):
-        s = series_from_poly(det_closed(6), 1, 2)
+        s = series_from_poly(lambda_rec(6), 1, 2)
         assert s.coeffs[0] == ONE
         assert s.coeffs[1] == -q_poly([1, 1, 1])
 
@@ -106,9 +106,9 @@ def test_limit_matches_finite_determinant_at_threshold():
     # Sharp certified threshold for (K, D) = (4, 10) is n = 12; the simpler
     # sufficient bound n = 2K + D = 18 must work as well, and n = 11 must not.
     target = limit_det(4, 10)
-    assert series_from_poly(det_closed(12), 4, 10) == target
-    assert series_from_poly(det_closed(18), 4, 10) == target
-    assert series_from_poly(det_closed(11), 4, 10) != target
+    assert series_from_poly(lambda_rec(12), 4, 10) == target
+    assert series_from_poly(lambda_rec(18), 4, 10) == target
+    assert series_from_poly(lambda_rec(11), 4, 10) != target
 
 
 class TestStabilization:
