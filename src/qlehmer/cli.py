@@ -38,17 +38,19 @@ def _nonneg_int(text: str) -> int:
 # sub-diagonal entry of L*U: `verify 40` takes 1.7 s, `verify 48` 5.4 s,
 # `verify 52` 8.4 s and 44 MB, and `verify 56` 15 s.
 VERIFY_MAX_N = 52
-# `det` and `lambda`: the recursion keeps two lam's at a time, so time, not
-# memory, is the limit; it grows about as n^4 (lam(n) has about n^3/24 terms
-# and each of the n steps passes over them).  `det 128 --json` takes 1.1 s and
-# 62 MB, `det 160 --json` 2.7 to 2.9 s and 108 MB, and `det 200 --json`, run
-# in-process, 7.5 s.
-CLOSED_MAX_N = 160
+# `det` and `lambda`: the recursion keeps two lam's at a time, so time grows
+# about as n^4 (lam(n) has about n^3/24 terms and each of the n steps passes
+# over them) and memory as n^3.  Timed in a slow phase of a shared 2-core
+# host, about three times slower than the other figures here: `det 160
+# --json` takes 2.6 to 3.0 s and 107 MB, `det 200 --json` 6.0 to 7.1 s and
+# 192 MB.  The cap keeps a fifth of margin under the 250 MB peak that CI
+# allows: `det 208 --json` peaks at 212 MB and `det 216 --json` at 264 MB.
+CLOSED_MAX_N = 200
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
 # denominators), so its output outgrows `det`'s.  It is written in pieces,
-# so the factors themselves set the peak: `lu 80` takes 2.7 to 2.8 s
-# and 103 MB (34 MB of text), `lu 80 --json` 2.1 s and 110 MB, and
-# `lu 96 --json`, run in-process, 4.3 s and 216 MB.
+# so the factors themselves set the peak.  In the same slow phase `lu 80`
+# takes 4.9 to 5.4 s and 78 MB (34 MB of text), `lu 80 --json` 3.6 to 3.9 s
+# and 86 MB, and `lu 96 --json` 8.5 s and 160 MB.
 LU_MAX_N = 80
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
 # the worst k is n/2, where `qbinom 176 88` takes 4.3 s and 23 MB and

@@ -9,28 +9,34 @@ polynomials whose u- and v-exponents are all even.  `qz_terms` reads their
 code tests exponent parity or halves exponents.  `q_poly`, `q_pow` and
 `z_pow` are the ones that build them.
 
-A polynomial is a map from exponent pairs (eu, ev) to nonzero int
-coefficients.  Python ints are arbitrary precision, so coefficient growth in
-determinant elimination is harmless.  The zero polynomial is the empty map.
-The term order used for printing is graded lexicographic on
-(eu + ev, eu, ev), which is the same order as on (q + z, q, z).
+A polynomial is stored as z-rows: a map from each v-exponent to its row, a
+map from u-exponent to nonzero int coefficient, with no empty row; zero is
+the empty map.  So lam(n), a polynomial in z over q-polynomials, keeps one
+row per power of z.  Every key is a plain int: an int below 2**30 hashes to
+itself and a dict of ints is not tracked by the cyclic garbage collector,
+so no kernel builds, hashes or collects a key tuple per term.  `Poly2(terms)`
+and `terms` speak the flat {(eu, ev): coeff} map at the boundary.  Python
+ints are arbitrary precision, so coefficient growth is harmless.  Printing
+uses the graded lexicographic order on (eu + ev, eu, ev), which is the same
+order as on (q + z, q, z).
 
-Subtraction copies the minuend and subtracts the other operand's terms in
-one pass, deleting any that cancel; it does not negate first.
-
-Multiplication returns the other operand itself when one operand is `ONE`
-(the module's instance, not any constant 1); instances are immutable, so
-sharing is safe.  `RatFunc` keeps a polynomial as its numerator over `ONE`,
-so this spares a copy whenever such a value meets a fraction.  Otherwise
-multiplication takes one of three paths.  When the smaller operand is a
-monomial, as in the shifts z q^(j-2) * lam(j-2) of the recursions, the
-product is the other operand's term map with every exponent shifted and
-every coefficient scaled, built in one dict comprehension: a shift is
-injective on exponents, so no two terms merge and none becomes zero.
+Instances are immutable by convention and no row is changed once built, so
+results share rows with their operands.  A sum or difference copies the
+left operand's outer map and merges only the rows both operands have, in
+one pass over the right operand's row; a row only the right operand has is
+taken as it is, or negated.  Multiplication returns the other operand itself
+when one operand is `ONE` (the module's instance, not any constant 1);
+`RatFunc` keeps a polynomial as its numerator over `ONE`, so this spares a
+copy whenever such a value meets a fraction.  Otherwise multiplication takes
+one of three paths.  When the smaller operand is a monomial, as in the
+shifts z q^(j-2) * lam(j-2) of the recursions, every row is rebuilt with its
+u-exponents shifted and its coefficients scaled, under its shifted
+v-exponent: a shift is injective on exponents, so no two terms merge and
+none becomes zero, and a shift by a power of z alone reuses the rows.
 Otherwise one size test decides: when the product's exponent box has no
 more digits than there are term pairs, it uses Kronecker substitution, and
-else it runs the dict convolution over all term pairs.  Kronecker
-substitution packs both operands into single ints, multiplies them once by
+else it convolves the rows pairwise.  Kronecker substitution packs both
+operands into single ints, one packed row per z-row, multiplies them once by
 CPython's bigint multiply, and unpacks the product.  Before packing, each
 variable's exponents are shifted by the operand's minimum and divided by
 the gcd of the offsets, so the all-even (u, v) exponents of (q, z) values
@@ -39,17 +45,11 @@ such as lam(n) cost nothing extra over the (q, z) view.
 `exact_div` packs in the same layout and divides once with `divmod`; a
 nonzero remainder proves that the divisor does not divide.  The quotient is
 unpacked and returned only after an exact certificate that it times the
-divisor is the dividend.  The digit width starts at the divisor's and
-doubles until the certificate passes, up to a width derived from
-Mignotte's bound, at which a failed certificate proves non-divisibility.
+divisor is the dividend, at a digit width bounded by Mignotte's inequality.
 
 `RatFunc` is the quotient-field layer: a num/den pair of polynomials with
-den != 0.  It never reduces by GCD.  Equality and sums use two identities
-of the fraction field, and cross-multiply only when the denominators
-differ: a/d == b/d iff a == b, and a/d + b/d == (a + b)/d.  The first holds
-because Z[u, v] is an integral domain: (a - b) * d == 0 with d != 0 forces
-a == b.  The LU verification compares and adds entries built from the same
-(lam(j), lam(j-1)) pairs, so most of its pairs share a denominator.
+den != 0, never reduced by GCD.  Equality and sums cross-multiply only when
+the denominators differ (see `ratfunc_eq`).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from typing import Iterable, Iterator, Mapping
 
 
 Exponents = tuple[int, int]
+Rows = dict[int, dict[int, int]]  # v-exponent -> (u-exponent -> coefficient)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -69,120 +70,114 @@ class ExactDivisionError(ArithmeticError):
 class Poly2:
     """Sparse bivariate polynomial over Z in canonical form.
 
-    Canonical means: no zero coefficients are stored and each exponent pair
-    appears once.  Instances are immutable by convention; every operation
-    returns a fresh value.  Equality is term-map identity, and an int equals
-    its constant polynomial.  Instances are unhashable, like `RatFunc`.
+    The term store `_rows` maps each v-exponent to its row, a map from
+    u-exponent to coefficient.  Canonical means: no zero coefficient and no
+    empty row.  Instances are immutable by convention, so results may share
+    rows with operands; no row is changed once built.  Equality is row-map
+    identity, and an int equals its constant polynomial.  Unhashable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_rows",)
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        canon: dict[Exponents, int] = {}
+        rows: Rows = {}
         if terms:
             for (eu, ev), c in terms.items():
                 if eu < 0 or ev < 0:
                     raise ValueError(f"negative exponent ({eu}, {ev})")
                 if c != 0:
-                    canon[(eu, ev)] = c
-        self._terms = canon
+                    rows.setdefault(ev, {})[eu] = c
+        self._rows = rows
 
     @classmethod
-    def _raw(cls, canon: dict[Exponents, int]) -> "Poly2":
+    def _raw(cls, rows: Rows) -> "Poly2":
         # Internal fast path: caller guarantees canonical form.
         p = cls.__new__(cls)
-        p._terms = canon
+        p._rows = rows
         return p
 
     @classmethod
     def constant(cls, c: int) -> "Poly2":
-        return cls._raw({(0, 0): c}) if c else cls._raw({})
+        return cls._raw({0: {0: c}}) if c else cls._raw({})
 
     @classmethod
     def monomial(cls, c: int, eu: int, ev: int) -> "Poly2":
         if eu < 0 or ev < 0:
             raise ValueError(f"negative exponent ({eu}, {ev})")
-        return cls._raw({(eu, ev): c}) if c else cls._raw({})
+        return cls._raw({ev: {eu: c}}) if c else cls._raw({})
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     @property
     def terms(self) -> dict[Exponents, int]:
-        """A copy of the term map (the instance itself stays immutable)."""
-        return dict(self._terms)
+        """The flat {(eu, ev): coeff} term map, built as a fresh copy on each
+        access (the instance itself stays immutable)."""
+        return {(eu, ev): c for ev, row in self._rows.items() for eu, c in row.items()}
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Poly2 | int") -> "Poly2":
         other = _coerce(other)
-        if not self._terms:
+        if not self._rows:
             return other
-        if not other._terms:
+        if not other._rows:
             return self
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return Poly2._raw(out)
+        return Poly2._raw(_merge(self._rows, other._rows, False))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2._raw({e: -c for e, c in self._terms.items()})
+        return Poly2._raw({ev: {eu: -c for eu, c in row.items()}
+                           for ev, row in self._rows.items()})
 
     def __sub__(self, other: "Poly2 | int") -> "Poly2":
-        # One pass over other's terms; no negated copy of other is built.
-        out = dict(self._terms)
-        for e, c in _coerce(other)._terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return Poly2._raw(out)
+        return Poly2._raw(_merge(self._rows, _coerce(other)._rows, True))
 
     def __rsub__(self, other: "Poly2 | int") -> "Poly2":
         return _coerce(other) - self
 
     def __mul__(self, other: "Poly2 | int") -> "Poly2":
         other = _coerce(other)
-        a, b = self._terms, other._terms
+        a, b = self._rows, other._rows
         # Sharing is safe: instances are immutable by convention.
-        if a is ONE._terms:
+        if a is ONE._rows:
             return other
-        if b is ONE._terms:
+        if b is ONE._rows:
             return self
         if not a or not b:
             return Poly2._raw({})
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
+        na, nb = _size(a), _size(b)
+        if na > nb:
+            a, b, na, nb = b, a, nb, na
+        if na == 1:
             # A monomial shift is injective on exponents and c * x != 0, so
-            # the shifted map is canonical as it stands.
-            ((du, dv), c), = a.items()
-            if c == 1:
-                return Poly2._raw({(eu + du, ev + dv): x for (eu, ev), x in b.items()})
-            return Poly2._raw({(eu + du, ev + dv): c * x for (eu, ev), x in b.items()})
+            # the shifted rows are canonical as they stand; with du == 0 and
+            # c == 1 they are b's rows themselves.
+            (dv, row), = a.items()
+            (du, c), = row.items()
+            if c != 1:
+                return Poly2._raw({ev + dv: {eu + du: c * x for eu, x in r.items()}
+                                   for ev, r in b.items()})
+            if du:
+                return Poly2._raw({ev + dv: {eu + du: x for eu, x in r.items()}
+                                   for ev, r in b.items()})
+            return Poly2._raw({ev + dv: r for ev, r in b.items()})
         grid = _grid(a, b)
         _, _, _, span_a, span_b = grid
-        if (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1) <= len(a) * len(b):
+        if (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1) <= na * nb:
             return Poly2._raw(_mul_kronecker(a, b, grid))
-        out: dict[Exponents, int] = {}
-        get = out.get
-        for (au, av), ac in a.items():
-            for (bu, bv), bc in b.items():
-                e = (au + bu, av + bv)
-                s = get(e, 0) + ac * bc
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Poly2._raw(out)
+        out: Rows = {}
+        for av, arow in a.items():
+            for bv, brow in b.items():
+                row = out.setdefault(av + bv, {})
+                get = row.get
+                for au, ac in arow.items():
+                    for bu, bc in brow.items():
+                        row[au + bu] = get(au + bu, 0) + ac * bc
+        return Poly2._raw({ev: r for ev, row in out.items()
+                           if (r := {eu: c for eu, c in row.items() if c})})
 
     __rmul__ = __mul__
 
@@ -203,7 +198,7 @@ class Poly2:
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self._terms == other._terms
+        return self._rows == other._rows
 
     def __str__(self) -> str:
         return to_text(self)
@@ -212,8 +207,39 @@ class Poly2:
         return f"Poly2({to_text(self)!r})"
 
 
-def _grid(a: dict[Exponents, int], b: dict[Exponents, int]):
-    """The reduced exponent grid that packs the nonzero term maps a and b.
+def _size(rows: Rows) -> int:
+    """The number of terms in a row map."""
+    return sum(map(len, rows.values()))
+
+
+def _max_abs(rows: Rows) -> int:
+    """The largest coefficient magnitude in a nonzero row map."""
+    return max(max(map(abs, row.values())) for row in rows.values())
+
+
+def _merge(a: Rows, b: Rows, subtract: bool) -> Rows:
+    """a + b, or a - b, on row maps; only the rows both have are merged."""
+    out = dict(a)
+    for ev, row in b.items():
+        mine = out.get(ev)
+        if mine is None:
+            out[ev] = {eu: -c for eu, c in row.items()} if subtract else row
+            continue
+        merged = mine.copy()
+        get = merged.get
+        for eu, c in row.items():
+            merged[eu] = get(eu, 0) - c if subtract else get(eu, 0) + c
+        if not all(merged.values()):
+            merged = {eu: c for eu, c in merged.items() if c}
+        if merged:
+            out[ev] = merged
+        else:
+            del out[ev]
+    return out
+
+
+def _grid(a: Rows, b: Rows):
+    """The reduced exponent grid that packs the nonzero row maps a and b.
 
     Returns (low_a, low_b, step, span_a, span_b), each a (u, v) pair: every
     exponent of a is low_a + step * i with 0 <= i <= span_a per variable,
@@ -221,69 +247,74 @@ def _grid(a: dict[Exponents, int], b: dict[Exponents, int]):
     of both operands (1 where they are all zero), so (u, v) values with only
     even exponents pack as densely as their (q, z) view.
     """
-    a_u, a_v = zip(*a)
-    b_u, b_v = zip(*b)
-    low_a, low_b = (min(a_u), min(a_v)), (min(b_u), min(b_v))
+    a_u = {eu for row in a.values() for eu in row}
+    b_u = {eu for row in b.values() for eu in row}
+    low_a, low_b = (min(a_u), min(a)), (min(b_u), min(b))
     su = gcd(*{e - low_a[0] for e in a_u}, *{e - low_b[0] for e in b_u}) or 1
-    sv = gcd(*{e - low_a[1] for e in a_v}, *{e - low_b[1] for e in b_v}) or 1
-    span_a = ((max(a_u) - low_a[0]) // su, (max(a_v) - low_a[1]) // sv)
-    span_b = ((max(b_u) - low_b[0]) // su, (max(b_v) - low_b[1]) // sv)
+    sv = gcd(*{e - low_a[1] for e in a}, *{e - low_b[1] for e in b}) or 1
+    span_a = ((max(a_u) - low_a[0]) // su, (max(a) - low_a[1]) // sv)
+    span_b = ((max(b_u) - low_b[0]) // su, (max(b) - low_b[1]) // sv)
     return low_a, low_b, (su, sv), span_a, span_b
 
 
-def _pack(terms: dict[Exponents, int], low: Exponents, step: Exponents, row: int,
-          rows: int, width: int) -> int:
-    """The term map evaluated at X = 2**(8 * width), as one int.
+def _pack(rows: Rows, low: Exponents, step: Exponents, row: int, nrows: int,
+          width: int) -> int:
+    """The row map evaluated at X = 2**(8 * width), as one int.
 
     The reduced exponent pair (i, k) = ((eu - low_u) / su, (ev - low_v) / sv)
-    with k < rows goes to the power X**(k * row + i), so a row of `row`
-    digits holds one reduced v-exponent.  A coefficient may span `parts`
+    with k < nrows goes to the power X**(k * row + i), so a packed row of
+    `row` digits holds one row of the map.  A coefficient may span `parts`
     digits; terms whose powers differ mod `parts` go to different layers, so
     no two terms of a layer overlap, and the layers are summed.
     """
     (lu, lv), (su, sv) = low, step
-    parts = (max(map(abs, terms.values())).bit_length() - 1) // (8 * width) + 1
+    parts = (_max_abs(rows).bit_length() - 1) // (8 * width) + 1
     span = parts * width
-    pos = [bytearray((rows * row + parts) * width) for _ in range(parts)]
-    neg = [bytearray((rows * row + parts) * width) for _ in range(parts)]
-    for (eu, ev), c in terms.items():
-        p = (ev - lv) // sv * row + (eu - lu) // su
-        at = p * width
-        if c > 0:
-            pos[p % parts][at:at + span] = c.to_bytes(span, "little")
-        else:
-            neg[p % parts][at:at + span] = (-c).to_bytes(span, "little")
+    pos = [bytearray((nrows * row + parts) * width) for _ in range(parts)]
+    neg = [bytearray((nrows * row + parts) * width) for _ in range(parts)]
+    for ev, r in rows.items():
+        base = (ev - lv) // sv * row
+        for eu, c in r.items():
+            p = base + (eu - lu) // su
+            at = p * width
+            if c > 0:
+                pos[p % parts][at:at + span] = c.to_bytes(span, "little")
+            else:
+                neg[p % parts][at:at + span] = (-c).to_bytes(span, "little")
     return sum(int.from_bytes(p, "little") - int.from_bytes(n, "little")
                for p, n in zip(pos, neg))
 
 
-def _unpack(value: int, low: Exponents, step: Exponents, row: int, rows: int,
-            cols: int, width: int) -> dict[Exponents, int] | None:
+def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
+            cols: int, width: int) -> Rows | None:
     """Inverse of `_pack` in balanced digits, each in [-2**(8*width-1), 2**(8*width-1)).
 
     Adding half the digit range to every digit makes each one nonnegative,
-    so negative digits need no borrow.  Returns None when the digits of
-    `value` do not fit `rows` rows, or a nonzero one lies in a column
-    >= `cols` of its row.
+    so negative digits need no borrow.  Each packed row is one z-row.
+    Returns None when the digits of `value` do not fit `nrows` rows, or a
+    nonzero one lies in a column >= `cols` of its row.
     """
     (lu, lv), (su, sv) = low, step
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
-    biased = value + int.from_bytes(zero * (rows * row), "little")
-    if biased < 0 or biased.bit_length() > 8 * width * rows * row:
+    biased = value + int.from_bytes(zero * (nrows * row), "little")
+    if biased < 0 or biased.bit_length() > 8 * width * nrows * row:
         return None
-    data = biased.to_bytes(rows * row * width, "little")
+    data = biased.to_bytes(nrows * row * width, "little")
     last = lu + cols * su
-    out: dict[Exponents, int] = {}
+    out: Rows = {}
     at = 0
-    for ev in range(lv, lv + rows * sv, sv):
+    for ev in range(lv, lv + nrows * sv, sv):
+        r = {}
         for eu in range(lu, lu + row * su, su):
             digit = data[at:at + width]
             if digit != zero:
                 if eu >= last:
                     return None
-                out[(eu, ev)] = int.from_bytes(digit, "little") - half
+                r[eu] = int.from_bytes(digit, "little") - half
             at += width
+        if r:
+            out[ev] = r
     return out
 
 
@@ -292,8 +323,8 @@ def _width(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _mul_kronecker(a: dict[Exponents, int], b: dict[Exponents, int], grid) -> dict[Exponents, int]:
-    """Product of two nonzero term maps by Kronecker substitution on `_grid(a, b)`.
+def _mul_kronecker(a: Rows, b: Rows, grid) -> Rows:
+    """Product of two nonzero row maps by Kronecker substitution on `_grid(a, b)`.
 
     The row spans the product's reduced u-range, so no digit of the product
     wraps into the next row.  Every product coefficient is a sum of at most
@@ -306,12 +337,12 @@ def _mul_kronecker(a: dict[Exponents, int], b: dict[Exponents, int], grid) -> di
     """
     low_a, low_b, step, span_a, span_b = grid
     row = span_a[0] + span_b[0] + 1
-    rows = span_a[1] + span_b[1] + 1
-    width = _width(min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values())))
+    nrows = span_a[1] + span_b[1] + 1
+    width = _width(min(_size(a), _size(b)) * _max_abs(a) * _max_abs(b))
     low = (low_a[0] + low_b[0], low_a[1] + low_b[1])
     product = (_pack(a, low_a, step, row, span_a[1] + 1, width)
                * _pack(b, low_b, step, row, span_b[1] + 1, width))
-    return _unpack(product, low, step, row, rows, row, width)
+    return _unpack(product, low, step, row, nrows, row, width)
 
 
 def _coerce(x: "Poly2 | int") -> Poly2:
@@ -323,7 +354,7 @@ def _coerce(x: "Poly2 | int") -> Poly2:
 
 
 ZERO = Poly2._raw({})
-ONE = Poly2._raw({(0, 0): 1})
+ONE = Poly2._raw({0: {0: 1}})
 
 
 def q_pow(k: int) -> Poly2:
@@ -365,7 +396,7 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
         raise ExactDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
-    ta, tb = a._terms, b._terms
+    ta, tb = a._rows, b._rows
     low_a, low_b, step, span_a, span_b = _grid(ta, tb)
     low = (low_a[0] - low_b[0], low_a[1] - low_b[1])
     if low[0] < 0 or low[1] < 0:
@@ -376,9 +407,8 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
     if cols < 1 or rows < 1:
         raise ExactDivisionError("divisor spans more than the dividend")
     rows_a, rows_b = span_a[1] + 1, span_b[1] + 1
-    a_max = max(map(abs, ta.values()))
-    b_max = max(map(abs, tb.values()))
-    norm = isqrt(sum(c * c for c in ta.values())) + 1  # exceeds ||a||_2
+    a_max, b_max = _max_abs(ta), _max_abs(tb)
+    norm = isqrt(sum(c * c for row in ta.values() for c in row.values())) + 1  # exceeds ||a||_2
     cap = _width(norm << ((rows - 1) * row + cols))  # 2**d * norm, doubled
     width = _width(b_max)
     while True:
@@ -390,13 +420,13 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
         del quot
         # None or empty: no quotient fits the box at this width.
         if tc:
-            c_max = max(map(abs, tc.values()))
+            c_max = _max_abs(tc)
             if 4 * c_max < 1 << (8 * width):
                 # At a width that holds every coefficient of tc*b and of a,
                 # the certificate is quot * pb == pa, which the divmod has
                 # shown, since tc packs back to quot; a wider one is packed
                 # and checked.
-                sure = _width(max(min(len(tc), len(tb)) * c_max * b_max, a_max))
+                sure = _width(max(min(_size(tc), _size(tb)) * c_max * b_max, a_max))
                 if sure <= width or (_pack(tc, low, step, row, rows, sure)
                                      * _pack(tb, low_b, step, row, rows_b, sure)
                                      == _pack(ta, low_a, step, row, rows_a, sure)):
@@ -408,19 +438,17 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
 
 def eval_u1(a: Poly2) -> Poly2:
     """Substitute u := 1 (hence q = 1); the result lives in Z[v]."""
-    sums: dict[int, int] = {}
-    for (_, ev), c in a._terms.items():
-        sums[ev] = sums.get(ev, 0) + c
-    return Poly2({(0, ev): c for ev, c in sums.items()})
+    return Poly2({(0, ev): sum(row.values()) for ev, row in a._rows.items()})
 
 
 def qz_terms(a: Poly2) -> Iterator[tuple[Exponents, int]]:
     """Lazily yield ((q-degree, z-degree), coeff) for each term; an odd
     exponent is a half power that did not cancel and raises ValueError."""
-    for (eu, ev), c in a._terms.items():
-        if eu % 2 or ev % 2:
-            raise ValueError(f"odd exponent ({eu}, {ev}): not a (q, z) polynomial")
-        yield (eu // 2, ev // 2), c
+    for ev, row in a._rows.items():
+        for eu, c in row.items():
+            if eu % 2 or ev % 2:
+                raise ValueError(f"odd exponent ({eu}, {ev}): not a (q, z) polynomial")
+            yield (eu // 2, ev // 2), c
 
 
 def q_poly(pairs: Iterable[tuple[int, int]]) -> Poly2:
@@ -538,18 +566,18 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
 
 
 def _view(p: Poly2) -> tuple[bool, Iterator[tuple[int, int, int]]]:
-    """The printed view of p: whether it is the (q, z) view, and its rows.
+    """The printed view of p: whether it is the (q, z) view, and its terms.
 
     The (q, z) view is taken when every exponent is even, and its exponents
-    are halved here.  The rows are (q- or u-exponent, z- or v-exponent,
-    coeff), yielded lazily in graded-lex order: the key (u + v, (u, v))
-    sorts as (u + v, u, v), hence as (q + z, q, z) in the (q, z) view.
+    are halved here.  The terms are (q- or u-exponent, z- or v-exponent,
+    coeff), yielded lazily in graded-lex order: (u + v, u, v, coeff) tuples,
+    unique in (u, v), sort natively as (q + z, q, z) in the (q, z) view.
     """
-    qz = all(eu % 2 == 0 and ev % 2 == 0 for eu, ev in p._terms)
-    items = sorted(p._terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0]))
+    items = sorted([(eu + ev, eu, ev, c) for ev, row in p._rows.items() for eu, c in row.items()])
+    qz = not any(eu % 2 or ev % 2 for _, eu, ev, _ in items)
     if qz:
-        return qz, ((eu // 2, ev // 2, c) for (eu, ev), c in items)
-    return qz, ((eu, ev, c) for (eu, ev), c in items)
+        return qz, ((eu // 2, ev // 2, c) for _, eu, ev, c in items)
+    return qz, ((eu, ev, c) for _, eu, ev, c in items)
 
 
 def to_text(p: Poly2) -> str:
@@ -557,9 +585,9 @@ def to_text(p: Poly2) -> str:
 
     Examples: `1 - z - q*z` in the (q, z) view, `v*u^2` in the (u, v) view.
     """
-    qz, rows = _view(p)
+    qz, terms = _view(p)
     parts: list[str] = []
-    for a, b, coeff in rows:
+    for a, b, coeff in terms:
         factors = (("q", a), ("z", b)) if qz else (("v", b), ("u", a))
         body = "*".join(name if e == 1 else f"{name}^{e}"
                         for name, e in factors if e)
@@ -583,8 +611,8 @@ def to_json_obj(p: Poly2) -> dict:
     Even-exponent polynomials serialize in the (q, z) view; anything with a
     half power keeps raw (u, v) exponents under the "uv" marker.
     """
-    qz, rows = _view(p)
-    return {"vars": "qz" if qz else "uv", "terms": [[b, a, str(c)] for a, b, c in rows]}
+    qz, terms = _view(p)
+    return {"vars": "qz" if qz else "uv", "terms": [[b, a, str(c)] for a, b, c in terms]}
 
 
 _COEFF_TEXT = re.compile(r"-?[1-9][0-9]*")

@@ -136,8 +136,8 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("verb, size, cap", [
-    ("det", "161", 160),
-    ("lambda", "161", 160),
+    ("det", "201", 200),
+    ("lambda", "201", 200),
     ("lu", str(cli.LU_MAX_N + 1), cli.LU_MAX_N),
     ("matrix", str(cli.MATRIX_MAX_N + 1), cli.MATRIX_MAX_N),
 ])

@@ -65,8 +65,8 @@ def wide_polys(draw):
 def kronecker(a, b):
     """The packed product's term map, from the kernel itself, so that the size
     test in `Poly2.__mul__` cannot route the operands to the dict loop."""
-    ta, tb = a.terms, b.terms
-    return poly._mul_kronecker(ta, tb, poly._grid(ta, tb))
+    ra, rb = a._rows, b._rows
+    return Poly2._raw(poly._mul_kronecker(ra, rb, poly._grid(ra, rb))).terms
 
 
 def schoolbook(a, b):
@@ -260,7 +260,8 @@ def test_distributive(a, b, c):
 
 
 def canonical(p):
-    return all(c != 0 for c in p.terms.values())
+    """No zero coefficient and no empty row in the term store."""
+    return all(row and all(row.values()) for row in p._rows.values())
 
 
 # Monomials with any exponents and a coefficient of 1, -1, a small value or
@@ -331,6 +332,35 @@ def test_unit_monomial_still_shifts(e, p):
     # A single term with coefficient 1 is ONE only at (0, 0).
     m = Poly2.monomial(1, *e)
     assert m * p == p * m == schoolbook(m, p)
+
+
+# -- shared rows: immutability is what makes them safe ------------------------
+
+
+# z-shifts with coefficient 1 (du = 0, c = 1): the product reuses the rows.
+z_shifts = st.builds(Poly2.monomial, st.just(1), st.just(0), st.integers(0, 8))
+
+
+@settings(deadline=None)
+@given(st.one_of(polys, wide_polys()),
+       st.one_of(polys, monomials, z_shifts, st.sampled_from([ZERO, ONE])),
+       st.integers(0, 3))
+def test_results_share_rows_without_changing_operands(a, b, k):
+    # Sums take rows of either operand as they are and monomial products may
+    # reuse them, so no operation, on operands or on results built from them,
+    # may change a row in place, and every result must be canonical.
+    values = [a, b]
+    seen = [v.terms for v in values]
+    values += [a + b, b + a, a - b, b - a, -a, -b, a * b, b * a, b ** k]
+    assert [v.terms for v in values[:2]] == seen
+    values += [exact_div(a * b, b)] if not b.is_zero else []
+    values += [exact_div(a * b, a)] if not a.is_zero else []
+    # A second round on the results, whose rows are shared with a and b.
+    seen = [v.terms for v in values]
+    more = [r + b for r in values] + [r - a for r in values] + [r * b for r in values]
+    more += [-r for r in values]
+    assert [v.terms for v in values] == seen
+    assert all(canonical(v) for v in values + more)
 
 
 # -- shared-denominator identities of RatFunc ----------------------------------
