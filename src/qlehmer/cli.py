@@ -43,8 +43,10 @@ VERIFY_MAX_N = 52
 # over them) and memory as n^3.  Timed in a slow phase of a shared 2-core
 # host, about three times slower than the other figures here: `det 160
 # --json` takes 2.6 to 3.0 s and 107 MB, `det 200 --json` 6.0 to 7.1 s and
-# 192 MB.  The cap keeps a fifth of margin under the 250 MB peak that CI
-# allows: `det 208 --json` peaks at 212 MB and `det 216 --json` at 264 MB.
+# 187 to 205 MB on CPython 3.10 to 3.12 (`lambda 200 --json` the same; the
+# text forms of both peak at 152 to 169 MB).  The cap keeps about a fifth of
+# margin under the 250 MB peak that CI allows: `det 208 --json` peaks at
+# 212 MB and `det 216 --json` at 264 MB.
 CLOSED_MAX_N = 200
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
 # denominators), so its output outgrows `det`'s.  It is written in pieces,

@@ -32,7 +32,7 @@ one of three paths.  When the smaller operand is a monomial, as in the
 shifts z q^(j-2) * lam(j-2) of the recursions, every row is rebuilt with its
 u-exponents shifted and its coefficients scaled, under its shifted
 v-exponent: a shift is injective on exponents, so no two terms merge and
-none becomes zero, and a shift by a power of z alone reuses the rows.
+none becomes zero.
 Otherwise one size test decides: when the product's exponent box has no
 more digits than there are term pairs, it uses Kronecker substitution, and
 else it convolves the rows pairwise.  Kronecker substitution packs both
@@ -153,17 +153,14 @@ class Poly2:
             a, b, na, nb = b, a, nb, na
         if na == 1:
             # A monomial shift is injective on exponents and c * x != 0, so
-            # the shifted rows are canonical as they stand; with du == 0 and
-            # c == 1 they are b's rows themselves.
+            # the shifted rows are canonical as they stand.
             (dv, row), = a.items()
             (du, c), = row.items()
             if c != 1:
                 return Poly2._raw({ev + dv: {eu + du: c * x for eu, x in r.items()}
                                    for ev, r in b.items()})
-            if du:
-                return Poly2._raw({ev + dv: {eu + du: x for eu, x in r.items()}
-                                   for ev, r in b.items()})
-            return Poly2._raw({ev + dv: r for ev, r in b.items()})
+            return Poly2._raw({ev + dv: {eu + du: x for eu, x in r.items()}
+                               for ev, r in b.items()})
         grid = _grid(a, b)
         _, _, _, span_a, span_b = grid
         if (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1) <= na * nb:

@@ -337,7 +337,7 @@ def test_unit_monomial_still_shifts(e, p):
 # -- shared rows: immutability is what makes them safe ------------------------
 
 
-# z-shifts with coefficient 1 (du = 0, c = 1): the product reuses the rows.
+# z-shifts with coefficient 1 (du = 0, c = 1): products that move whole rows.
 z_shifts = st.builds(Poly2.monomial, st.just(1), st.just(0), st.integers(0, 8))
 
 
@@ -346,9 +346,9 @@ z_shifts = st.builds(Poly2.monomial, st.just(1), st.just(0), st.integers(0, 8))
        st.one_of(polys, monomials, z_shifts, st.sampled_from([ZERO, ONE])),
        st.integers(0, 3))
 def test_results_share_rows_without_changing_operands(a, b, k):
-    # Sums take rows of either operand as they are and monomial products may
-    # reuse them, so no operation, on operands or on results built from them,
-    # may change a row in place, and every result must be canonical.
+    # Sums take rows of either operand as they are, so no operation, on
+    # operands or on results built from them, may change a row in place, and
+    # every result must be canonical.
     values = [a, b]
     seen = [v.terms for v in values]
     values += [a + b, b + a, a - b, b - a, -a, -b, a * b, b * a, b ** k]
