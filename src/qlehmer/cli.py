@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import lehmer, linalg, series
-from .poly import RatFunc, ratfunc_to_json_obj, to_json_obj, to_text
+from .poly import ratfunc_to_json_obj, to_json_obj, to_text
 from .qcomb import gauss_product
 
 
@@ -40,14 +40,13 @@ def _nonneg_int(text: str) -> int:
 VERIFY_MAX_N = 52
 # `det` and `lambda`: the recursion keeps two lam's at a time, so time grows
 # about as n^4 (lam(n) has about n^3/24 terms and each of the n steps passes
-# over them) and memory as n^3.  Timed in a slow phase of a shared 2-core
-# host, about three times slower than the other figures here: `det 160
-# --json` takes 2.6 to 3.0 s and 107 MB, `det 200 --json` 6.0 to 7.1 s and
-# 187 to 205 MB on CPython 3.10 to 3.12 (`lambda 200 --json` the same; the
-# text forms of both peak at 152 to 169 MB).  The cap keeps about a fifth of
-# margin under the 250 MB peak that CI allows: `det 208 --json` peaks at
-# 212 MB and `det 216 --json` at 264 MB.
-CLOSED_MAX_N = 200
+# over them) and memory as n^3.  Peaks, from wait4 on a shared 2-core host,
+# on CPython 3.10 to 3.12: `det 200 --json` 162 to 181 MB in 4.0 to 6.5 s,
+# `det 204 --json` 170 to 178 MB in 4.1 to 5.7 s (`lambda 204`, text, 139 to
+# 142 MB), `det 206 --json` 195 MB (3.11) and `det 208 --json` 186 to 201
+# MB.  The cap keeps about a fifth of margin under the 250 MB peak that CI
+# allows.
+CLOSED_MAX_N = 204
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
 # denominators), so its output outgrows `det`'s.  It is written in pieces,
 # so the factors themselves set the peak.  In the same slow phase `lu 80`
@@ -160,12 +159,12 @@ def _cmd_qbinom(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    s = series.limit_det(args.zdeg, args.qdeg)
+    coeffs = series.limit_det(args.zdeg, args.qdeg)
     if args.json:
-        print(json.dumps({"z_trunc": s.z_trunc, "q_trunc": s.q_trunc,
-                          "coeffs": [to_json_obj(c) for c in s.coeffs]}))
+        print(json.dumps({"z_trunc": args.zdeg, "q_trunc": args.qdeg,
+                          "coeffs": [to_json_obj(c) for c in coeffs]}))
     else:
-        print(str(s))
+        print("\n".join(f"z^{k}: {to_text(c)}" for k, c in enumerate(coeffs)))
     return 0
 
 

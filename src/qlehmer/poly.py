@@ -18,7 +18,7 @@ so no kernel builds, hashes or collects a key tuple per term.  `Poly2(terms)`
 and `terms` speak the flat {(eu, ev): coeff} map at the boundary.  Python
 ints are arbitrary precision, so coefficient growth is harmless.  Printing
 uses the graded lexicographic order on (eu + ev, eu, ev), which is the same
-order as on (q + z, q, z).
+order as on (q + z, q, z); `_view` sorts one int key per term to get it.
 
 Instances are immutable by convention and no row is changed once built, so
 results share rows with their operands.  A sum or difference copies the
@@ -376,9 +376,8 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
     packing is a ring map to Z, so b | a implies that the packed b divides
     the packed a, and a nonzero remainder raises.  The quotient is unpacked
     in balanced digits, which are the quotient's coefficients when w holds
-    them, and certified exactly: packed at a width that holds every
-    coefficient of c*b and of a, c*b and a are equal ints only if they are
-    equal polynomials.  A failed certificate doubles w.
+    them, and certified exactly by the ring's own product: c*b == a.  A
+    failed certificate doubles w.
 
     A true quotient c is a divisor of degree at most d of the packed a (read
     as a polynomial in X = 2**(8w)), so by Mignotte's inequality (M.
@@ -419,15 +418,13 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
         if tc:
             c_max = _max_abs(tc)
             if 4 * c_max < 1 << (8 * width):
-                # At a width that holds every coefficient of tc*b and of a,
-                # the certificate is quot * pb == pa, which the divmod has
-                # shown, since tc packs back to quot; a wider one is packed
-                # and checked.
+                # When w holds every coefficient of c*b and of a, packing is
+                # injective on them, so c*b == a follows from quot * pb == pa,
+                # which the divmod has shown, since c packs back to quot.
+                c = Poly2._raw(tc)
                 sure = _width(max(min(_size(tc), _size(tb)) * c_max * b_max, a_max))
-                if sure <= width or (_pack(tc, low, step, row, rows, sure)
-                                     * _pack(tb, low_b, step, row, rows_b, sure)
-                                     == _pack(ta, low_a, step, row, rows_a, sure)):
-                    return Poly2._raw(tc)
+                if sure <= width or c * b == a:
+                    return c
         if width >= cap:
             raise ExactDivisionError("no quotient passed its certificate at the Mignotte width")
         width = min(2 * width, cap)
@@ -567,14 +564,25 @@ def _view(p: Poly2) -> tuple[bool, Iterator[tuple[int, int, int]]]:
 
     The (q, z) view is taken when every exponent is even, and its exponents
     are halved here.  The terms are (q- or u-exponent, z- or v-exponent,
-    coeff), yielded lazily in graded-lex order: (u + v, u, v, coeff) tuples,
-    unique in (u, v), sort natively as (q + z, q, z) in the (q, z) view.
+    coeff), yielded lazily in graded-lex order.  One int key per term sorts
+    them: (u + v) * span + u, with span above every u-exponent, orders as
+    (u + v, u), which fixes v, and so as (q + z, q, z) in the (q, z) view.
+    Each coefficient is read back from its row as it is yielded.
     """
-    items = sorted([(eu + ev, eu, ev, c) for ev, row in p._rows.items() for eu, c in row.items()])
-    qz = not any(eu % 2 or ev % 2 for _, eu, ev, _ in items)
-    if qz:
-        return qz, ((eu // 2, ev // 2, c) for _, eu, ev, c in items)
-    return qz, ((eu, ev, c) for _, eu, ev, c in items)
+    rows = p._rows
+    span = 1 + max((max(row) for row in rows.values()), default=0)
+    keys = [(eu + ev) * span + eu for ev, row in rows.items() for eu in row]
+    keys.sort()
+    qz = not any(ev % 2 or any(eu % 2 for eu in row) for ev, row in rows.items())
+    shift = 1 if qz else 0
+
+    def terms():
+        for key in keys:
+            total, eu = divmod(key, span)
+            ev = total - eu
+            yield eu >> shift, ev >> shift, rows[ev][eu]
+
+    return qz, terms()
 
 
 def to_text(p: Poly2) -> str:

@@ -4,8 +4,9 @@ As n grows, det M(n) stabilizes coefficient-wise to the q-series
 
     sum over k >= 0 of  (-1)^k q^(k(k-1)) z^k / (q;q)_k,
 
-represented here as a `Series2`: a z-polynomial truncated at degree K whose
-coefficients are q-polynomials truncated at degree D.  `stabilization_check`
+represented here, truncated at z-degree K and q-degree D, as the tuple of
+its K + 1 coefficients of z^0..z^K, each a q-polynomial of degree at most D
+in the half-power carrier of `qlehmer.poly`.  `stabilization_check`
 measures, for one z-power at a time, through which q-degree the finite
 determinant already agrees with the limit; the answer is exactly n - 2k for
 k >= 1, because [n-k k]_q = (q^(n-2k+1); q)_k / (q;q)_k and the numerator is
@@ -24,38 +25,10 @@ against the exhaustive DP oracle `dyck_count`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .lehmer import lambdas
-from .poly import ZERO, Poly2, eval_u1, q_poly, qz_terms, to_text
+from .poly import ZERO, Poly2, eval_u1, q_poly, qz_terms
 from .qcomb import gauss_product, poch_qq
-
-
-@dataclass(frozen=True)
-class Series2:
-    """Formal power series in z to degree z_trunc, each coefficient a
-    q-polynomial to degree q_trunc.  Stored in the half-power carrier; each
-    coefficient must read through `qz_terms` as q-degrees <= q_trunc with
-    z-degree 0."""
-
-    z_trunc: int
-    q_trunc: int
-    coeffs: tuple[Poly2, ...]
-
-    def __post_init__(self):
-        if self.z_trunc < 0 or self.q_trunc < 0:
-            raise ValueError("truncation orders must be nonnegative")
-        if len(self.coeffs) != self.z_trunc + 1:
-            raise ValueError("need one coefficient per z-power, 0..z_trunc")
-        for c in self.coeffs:
-            for (dq, dz), _ in qz_terms(c):
-                if dz:
-                    raise ValueError("coefficients must be polynomials in q alone")
-                if dq > self.q_trunc:
-                    raise ValueError("coefficient exceeds the q-truncation order")
-
-    def __str__(self) -> str:
-        return "\n".join(f"z^{k}: {to_text(c)}" for k, c in enumerate(self.coeffs))
 
 
 def invert_poch(k: int, trunc: int) -> Poly2:
@@ -86,9 +59,10 @@ def invert_poch(k: int, trunc: int) -> Poly2:
     return result
 
 
-def limit_det(z_trunc: int, q_trunc: int) -> Series2:
-    """The limit determinant truncated at (z_trunc, q_trunc):
-    coefficient of z^k is (-1)^k q^(k(k-1)) / (q;q)_k."""
+def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
+    """The limit determinant truncated at (z_trunc, q_trunc), as the tuple of
+    its coefficients of z^0..z^z_trunc: the z^k one is (-1)^k q^(k(k-1)) /
+    (q;q)_k through q-degree q_trunc."""
     if z_trunc < 0 or q_trunc < 0:
         raise ValueError("truncation orders must be nonnegative")
     coeffs = []
@@ -99,18 +73,20 @@ def limit_det(z_trunc: int, q_trunc: int) -> Series2:
             continue
         body = invert_poch(k, q_trunc - shift)
         coeffs.append(Poly2.monomial((-1) ** k, 2 * shift, 0) * body)
-    return Series2(z_trunc=z_trunc, q_trunc=q_trunc, coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
-def series_from_poly(p: Poly2, z_trunc: int, q_trunc: int) -> Series2:
-    """Truncate an even-exponent polynomial (e.g. a finite determinant) into
-    the Series2 carrier at (z_trunc, q_trunc), one q-degree map per z-power."""
+def series_from_poly(p: Poly2, z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
+    """Truncate an even-exponent polynomial (e.g. a finite determinant) at
+    (z_trunc, q_trunc), as `limit_det` does: the tuple of its q-polynomial
+    coefficients of z^0..z^z_trunc, each through q-degree q_trunc."""
+    if z_trunc < 0 or q_trunc < 0:
+        raise ValueError("truncation orders must be nonnegative")
     buckets: list[dict[int, int]] = [{} for _ in range(z_trunc + 1)]
     for (dq, dz), c in qz_terms(p):
         if dz <= z_trunc and dq <= q_trunc:
             buckets[dz][dq] = c
-    return Series2(z_trunc=z_trunc, q_trunc=q_trunc,
-                   coeffs=tuple(q_poly(b.items()) for b in buckets))
+    return tuple(q_poly(b.items()) for b in buckets)
 
 
 def stabilization_check(n: int, k: int) -> int | None:

@@ -74,6 +74,8 @@ def test_limit_lines():
     assert out.splitlines() == ["z^0: 1",
                                 "z^1: -1 - q - q^2 - q^3 - q^4",
                                 "z^2: q^2 + q^3 + 2*q^4"]
+    assert run("limit", "--zdeg", "2", "--qdeg", "3") == (
+        0, "z^0: 1\nz^1: -1 - q - q^2 - q^3\nz^2: q^2 + q^3\n")
 
 
 def test_stabilize():
@@ -136,8 +138,8 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("verb, size, cap", [
-    ("det", "201", 200),
-    ("lambda", "201", 200),
+    ("det", str(cli.CLOSED_MAX_N + 1), cli.CLOSED_MAX_N),
+    ("lambda", str(cli.CLOSED_MAX_N + 1), cli.CLOSED_MAX_N),
     ("lu", str(cli.LU_MAX_N + 1), cli.LU_MAX_N),
     ("matrix", str(cli.MATRIX_MAX_N + 1), cli.MATRIX_MAX_N),
 ])

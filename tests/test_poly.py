@@ -723,10 +723,16 @@ text_coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
                         st.integers(-2**200, 2**200)).filter(bool)
 
 
+# Sparse terms with exponents up to 10**6, whose `_view` sort keys
+# (u + v) * span + u run to about 10**12.
+wide_exponent_pairs = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+
+
 @st.composite
 def printable_term_maps(draw):
     """Term maps with only even exponents, or with at least one odd one."""
-    terms = draw(st.dictionaries(exponent_pairs, text_coeffs, max_size=8))
+    pairs = draw(st.sampled_from([exponent_pairs, wide_exponent_pairs]))
+    terms = draw(st.dictionaries(pairs, text_coeffs, max_size=8))
     if draw(st.booleans()):
         return {(2 * eu, 2 * ev): c for (eu, ev), c in terms.items()}
     odd = draw(exponent_pairs.filter(lambda e: e[0] % 2 or e[1] % 2))

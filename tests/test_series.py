@@ -1,16 +1,14 @@
 """Limit series, stabilization degrees, and the bounded-height Dyck check."""
 
 import math
-import re
 
 import pytest
 
 from qlehmer import poly, series
 from qlehmer.lehmer import lambda_rec
-from qlehmer.poly import ONE, Poly2, q_pow
+from qlehmer.poly import ONE, Poly2, q_pow, qz_terms
 from qlehmer.qcomb import poch_qq
 from qlehmer.series import (
-    Series2,
     dyck_count,
     dyck_gf_check,
     invert_poch,
@@ -56,50 +54,42 @@ class TestInvertPoch:
 
 class TestLimitDet:
     def test_z0_coefficient(self):
-        assert limit_det(3, 6).coeffs[0] == ONE
+        assert limit_det(3, 6)[0] == ONE
 
     def test_z1_coefficient(self):
-        assert limit_det(2, 5).coeffs[1] == -q_poly([1, 1, 1, 1, 1, 1])
+        assert limit_det(2, 5)[1] == -q_poly([1, 1, 1, 1, 1, 1])
 
     def test_z2_coefficient(self):
-        assert limit_det(2, 4).coeffs[2] == q_poly([0, 0, 1, 1, 2])
+        assert limit_det(2, 4)[2] == q_poly([0, 0, 1, 1, 2])
 
     def test_prefactor_beyond_truncation_gives_zero(self):
         # z^4 carries q^12; truncating at q-degree 10 leaves nothing.
-        assert limit_det(4, 10).coeffs[4].is_zero
+        assert limit_det(4, 10)[4].is_zero
 
-
-class TestSeries2:
-    def test_str_one_line_per_power(self):
-        lines = str(limit_det(2, 3)).splitlines()
-        assert lines == ["z^0: 1", "z^1: -1 - q - q^2 - q^3", "z^2: q^2 + q^3"]
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            Series2(z_trunc=2, q_trunc=2, coeffs=(ONE,))
-
-    def test_v_content_rejected(self):
-        with pytest.raises(ValueError):
-            Series2(z_trunc=0, q_trunc=2, coeffs=(Poly2.monomial(1, 0, 2),))
-
-    def test_odd_u_exponent_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("(3, 0)")):
-            Series2(z_trunc=0, q_trunc=2, coeffs=(Poly2.monomial(1, 3, 0),))
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            Series2(z_trunc=0, q_trunc=2, coeffs=(q_pow(3),))
+    def test_one_q_polynomial_per_z_power_within_the_truncation(self):
+        for z_trunc in range(6):
+            for q_trunc in (0, 1, 5, 12, 30):
+                coeffs = limit_det(z_trunc, q_trunc)
+                assert len(coeffs) == z_trunc + 1
+                for c in coeffs:
+                    for (dq, dz), _ in qz_terms(c):
+                        assert dz == 0 and dq <= q_trunc, (z_trunc, q_trunc)
 
 
 class TestSeriesFromPoly:
     def test_truncates_finite_determinant(self):
         s = series_from_poly(lambda_rec(6), 1, 2)
-        assert s.coeffs[0] == ONE
-        assert s.coeffs[1] == -q_poly([1, 1, 1])
+        assert s[0] == ONE
+        assert s[1] == -q_poly([1, 1, 1])
 
     def test_odd_exponents_rejected(self):
         with pytest.raises(ValueError):
             series_from_poly(Poly2.monomial(1, 0, 1), 2, 2)
+
+    def test_negative_truncation_rejected(self):
+        for z_trunc, q_trunc in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                series_from_poly(ONE, z_trunc, q_trunc)
 
 
 def test_limit_matches_finite_determinant_at_threshold():
