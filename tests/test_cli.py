@@ -74,6 +74,9 @@ def test_limit_lines():
     assert out.splitlines() == ["z^0: 1",
                                 "z^1: -1 - q - q^2 - q^3 - q^4",
                                 "z^2: q^2 + q^3 + 2*q^4"]
+
+
+def test_limit_one_line_per_power():
     assert run("limit", "--zdeg", "2", "--qdeg", "3") == (
         0, "z^0: 1\nz^1: -1 - q - q^2 - q^3\nz^2: q^2 + q^3\n")
 
