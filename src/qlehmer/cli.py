@@ -40,19 +40,21 @@ def _nonneg_int(text: str) -> int:
 VERIFY_MAX_N = 52
 # `det` and `lambda`: the recursion keeps two lam's at a time, so time grows
 # about as n^4 (lam(n) has about n^3/24 terms and each of the n steps passes
-# over them) and memory as n^3.  Peaks, from wait4 on a shared 2-core host,
-# on CPython 3.10 to 3.12: `det 200 --json` 162 to 181 MB in 4.0 to 6.5 s,
-# `det 204 --json` 170 to 178 MB in 4.1 to 5.7 s (`lambda 204`, text, 139 to
-# 142 MB), `det 206 --json` 195 MB (3.11) and `det 208 --json` 186 to 201
-# MB.  The cap keeps about a fifth of margin under the 250 MB peak that CI
-# allows.
-CLOSED_MAX_N = 204
+# over them) and memory as n^3.  Peaks from wait4 on a shared 2-core host,
+# CPython 3.11: `det 200 --json` 149 MB in 1.9 s, `det 204 --json` 158 MB,
+# `det 208 --json` 168 MB, `det 212 --json` 177 MB in 2.7 to 3.3 s (`lambda
+# 212`, text, 118 MB), `det 216 --json` 187 MB and `det 220 --json` 198 MB.
+# Printing the JSON form sets the peak.  The cap keeps about a fifth of
+# margin under the 250 MB peak that CI allows.
+CLOSED_MAX_N = 212
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
 # denominators), so its output outgrows `det`'s.  It is written in pieces,
-# so the factors themselves set the peak.  In the same slow phase `lu 80`
-# takes 4.9 to 5.4 s and 78 MB (34 MB of text), `lu 80 --json` 3.6 to 3.9 s
-# and 86 MB, and `lu 96 --json` 8.5 s and 160 MB.
-LU_MAX_N = 80
+# and the factors share their coefficient tuples with the lam table, so the
+# table sets the peak.  Time binds first: the cap keeps text output, the
+# slower form, at about 5 s.  In one phase of the host `lu 80` took 2.7 to
+# 3.6 s and 38 MB, `lu 88` 4.9 to 5.6 s and 49 MB, `lu 88 --json` 3.4 s and
+# 59 MB, and `lu 92` 7.1 to 7.7 s.
+LU_MAX_N = 88
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
 # the worst k is n/2, where `qbinom 176 88` takes 4.3 s and 23 MB and
 # `qbinom 200 100` 10.3 to 10.5 s and 25 MB.

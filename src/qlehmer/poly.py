@@ -9,38 +9,47 @@ polynomials whose u- and v-exponents are all even.  `qz_terms` reads their
 code tests exponent parity or halves exponents.  `q_poly`, `q_pow` and
 `z_pow` are the ones that build them.
 
-A polynomial is stored as z-rows: a map from each v-exponent to its row, a
-map from u-exponent to nonzero int coefficient, with no empty row; zero is
-the empty map.  So lam(n), a polynomial in z over q-polynomials, keeps one
-row per power of z.  Every key is a plain int: an int below 2**30 hashes to
-itself and a dict of ints is not tracked by the cyclic garbage collector,
-so no kernel builds, hashes or collects a key tuple per term.  `Poly2(terms)`
-and `terms` speak the flat {(eu, ev): coeff} map at the boundary.  Python
-ints are arbitrary precision, so coefficient growth is harmless.  Printing
-uses the graded lexicographic order on (eu + ev, eu, ev), which is the same
-order as on (q + z, q, z); `_view` sorts one int key per term to get it.
+A polynomial is stored as z-rows: a map from each v-exponent to its row,
+with no empty row; zero is the empty map.  A row is a dense triple
+(lo, step, coeffs): `coeffs` is a tuple whose term i sits at u-exponent
+lo + i * step.  Its first and last coefficients are nonzero, and `step` is
+the gcd of the nonzero terms' offsets from lo (1 for a one-term row), so
+every polynomial has one stored form.  lam(n), a polynomial in z over
+q-polynomials, keeps one tuple per power of z: the z^k row of lam(j) is
+q^(k(k-1)) [j-k k]_q, whose coefficients are all nonzero, at step 2 in u.
+A row costs memory in proportion to its span divided by its step, not to
+its term count: a row with terms at u^0, u^1 and u^1000000 holds a million
+zeros.  `Poly2(terms)` and `terms` speak the flat {(eu, ev): coeff} map at
+the boundary.  Python ints are arbitrary precision, so coefficient growth is
+harmless.  Printing uses the graded lexicographic order on (eu + ev, eu, ev),
+which is the same order as on (q + z, q, z); `_view` sorts one int key per
+term to get it.
 
 Instances are immutable by convention and no row is changed once built, so
-results share rows with their operands.  A sum or difference copies the
-left operand's outer map and merges only the rows both operands have, in
-one pass over the right operand's row; a row only the right operand has is
-taken as it is, or negated.  Multiplication returns the other operand itself
-when one operand is `ONE` (the module's instance, not any constant 1);
-`RatFunc` keeps a polynomial as its numerator over `ONE`, so this spares a
-copy whenever such a value meets a fraction.  Otherwise multiplication takes
-one of three paths.  When the smaller operand is a monomial, as in the
-shifts z q^(j-2) * lam(j-2) of the recursions, every row is rebuilt with its
-u-exponents shifted and its coefficients scaled, under its shifted
-v-exponent: a shift is injective on exponents, so no two terms merge and
-none becomes zero.
+results share rows, and the coefficient tuples inside them, with their
+operands.  A sum or difference copies the left operand's outer map and
+combines only the rows both operands have: each pair is aligned to its
+common step and added or subtracted by one `map` over the overlap; a row
+only the right operand has is taken as it is, or negated.  A combined row
+is trimmed and re-strided only when it holds a zero, which `0 in` finds in
+one C-level scan.  Multiplication returns the other operand itself when one
+operand is `ONE` (the module's instance, not any constant 1); `RatFunc`
+keeps a polynomial as its numerator over `ONE`, so this spares a copy
+whenever such a value meets a fraction.  Otherwise multiplication takes one
+of three paths.  When one operand is a monomial, as in the shifts
+z q^(j-2) * lam(j-2) of the recursions, every row moves to its shifted
+v-exponent and lo; it keeps its coefficient tuple when the monomial's
+coefficient is 1 and is scaled by one `map` otherwise.  A shift is
+injective on exponents, so no two terms merge and none becomes zero.
 Otherwise one size test decides: when the product's exponent box has no
 more digits than there are term pairs, it uses Kronecker substitution, and
-else it convolves the rows pairwise.  Kronecker substitution packs both
-operands into single ints, one packed row per z-row, multiplies them once by
-CPython's bigint multiply, and unpacks the product.  Before packing, each
-variable's exponents are shifted by the operand's minimum and divided by
-the gcd of the offsets, so the all-even (u, v) exponents of (q, z) values
-such as lam(n) cost nothing extra over the (q, z) view.
+else it convolves the rows pairwise, through one map per product row.
+Kronecker substitution packs both operands into single ints, one packed row
+per z-row, multiplies them once by CPython's bigint multiply, and unpacks
+the product.  Before packing, each variable's exponents are shifted by the
+operand's minimum and divided by the gcd of the offsets, so the all-even
+(u, v) exponents of (q, z) values such as lam(n) cost nothing extra over the
+(q, z) view.
 
 `exact_div` packs in the same layout and divides once with `divmod`; a
 nonzero remainder proves that the divisor does not divide.  The quotient is
@@ -55,12 +64,15 @@ the denominators differ (see `ratfunc_eq`).
 from __future__ import annotations
 
 import re
+from itertools import compress
 from math import gcd, isqrt
+from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping
 
 
 Exponents = tuple[int, int]
-Rows = dict[int, dict[int, int]]  # v-exponent -> (u-exponent -> coefficient)
+Row = tuple[int, int, tuple[int, ...]]  # (lo, step, coeffs): coeffs[i] at u**(lo + i*step)
+Rows = dict[int, Row]  # v-exponent -> row
 
 
 class ExactDivisionError(ArithmeticError):
@@ -70,24 +82,28 @@ class ExactDivisionError(ArithmeticError):
 class Poly2:
     """Sparse bivariate polynomial over Z in canonical form.
 
-    The term store `_rows` maps each v-exponent to its row, a map from
-    u-exponent to coefficient.  Canonical means: no zero coefficient and no
-    empty row.  Instances are immutable by convention, so results may share
-    rows with operands; no row is changed once built.  Equality is row-map
-    identity, and an int equals its constant polynomial.  Unhashable.
+    The term store `_rows` maps each v-exponent to its dense row
+    (lo, step, coeffs), with coeffs[i] the coefficient of u**(lo + i*step).
+    Canonical means: no empty row, nonzero first and last coefficients, and
+    `step` the gcd of the nonzero terms' offsets from lo, 1 for one term.
+    So a row's memory follows its span over its step; zeros inside a row
+    are stored.  Instances are immutable by convention, so results may
+    share rows and coefficient tuples with operands; no row is changed once
+    built.  Equality is row-map equality, and an int equals its constant
+    polynomial.  Unhashable.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        rows: Rows = {}
+        grouped: dict[int, dict[int, int]] = {}
         if terms:
             for (eu, ev), c in terms.items():
                 if eu < 0 or ev < 0:
                     raise ValueError(f"negative exponent ({eu}, {ev})")
                 if c != 0:
-                    rows.setdefault(ev, {})[eu] = c
-        self._rows = rows
+                    grouped.setdefault(ev, {})[eu] = c
+        self._rows = {ev: _dense(row) for ev, row in grouped.items()}
 
     @classmethod
     def _raw(cls, rows: Rows) -> "Poly2":
@@ -98,13 +114,13 @@ class Poly2:
 
     @classmethod
     def constant(cls, c: int) -> "Poly2":
-        return cls._raw({0: {0: c}}) if c else cls._raw({})
+        return cls._raw({0: (0, 1, (c,))}) if c else cls._raw({})
 
     @classmethod
     def monomial(cls, c: int, eu: int, ev: int) -> "Poly2":
         if eu < 0 or ev < 0:
             raise ValueError(f"negative exponent ({eu}, {ev})")
-        return cls._raw({ev: {eu: c}}) if c else cls._raw({})
+        return cls._raw({ev: (eu, 1, (c,))}) if c else cls._raw({})
 
     @property
     def is_zero(self) -> bool:
@@ -114,7 +130,7 @@ class Poly2:
     def terms(self) -> dict[Exponents, int]:
         """The flat {(eu, ev): coeff} term map, built as a fresh copy on each
         access (the instance itself stays immutable)."""
-        return {(eu, ev): c for ev, row in self._rows.items() for eu, c in row.items()}
+        return {(eu, ev): c for ev, row in self._rows.items() for eu, c in _pairs(row)}
 
     # -- ring operations ----------------------------------------------------
 
@@ -129,8 +145,7 @@ class Poly2:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2._raw({ev: {eu: -c for eu, c in row.items()}
-                           for ev, row in self._rows.items()})
+        return Poly2._raw({ev: _negated(row) for ev, row in self._rows.items()})
 
     def __sub__(self, other: "Poly2 | int") -> "Poly2":
         return Poly2._raw(_merge(self._rows, _coerce(other)._rows, True))
@@ -148,33 +163,19 @@ class Poly2:
             return self
         if not a or not b:
             return Poly2._raw({})
-        na, nb = _size(a), _size(b)
-        if na > nb:
-            a, b, na, nb = b, a, nb, na
-        if na == 1:
-            # A monomial shift is injective on exponents and c * x != 0, so
-            # the shifted rows are canonical as they stand.
-            (dv, row), = a.items()
-            (du, c), = row.items()
-            if c != 1:
-                return Poly2._raw({ev + dv: {eu + du: c * x for eu, x in r.items()}
-                                   for ev, r in b.items()})
-            return Poly2._raw({ev + dv: {eu + du: x for eu, x in r.items()}
-                               for ev, r in b.items()})
-        grid = _grid(a, b)
-        _, _, _, span_a, span_b = grid
-        if (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1) <= na * nb:
-            return Poly2._raw(_mul_kronecker(a, b, grid))
-        out: Rows = {}
-        for av, arow in a.items():
-            for bv, brow in b.items():
-                row = out.setdefault(av + bv, {})
-                get = row.get
-                for au, ac in arow.items():
-                    for bu, bc in brow.items():
-                        row[au + bu] = get(au + bu, 0) + ac * bc
-        return Poly2._raw({ev: r for ev, row in out.items()
-                           if (r := {eu: c for eu, c in row.items() if c})})
+        if not _is_monomial(a):
+            if _is_monomial(b):
+                a, b = b, a
+            else:
+                return Poly2._raw(_mul_rows(a, b))
+        # A monomial shift is injective on exponents, and c * x is zero only
+        # where x is, so the shifted rows are canonical as they stand.
+        (dv, (du, _, (c,))), = a.items()
+        if c != 1:
+            return Poly2._raw({ev + dv: (lo + du, step, tuple(map(c.__mul__, coeffs)))
+                               for ev, (lo, step, coeffs) in b.items()})
+        return Poly2._raw({ev + dv: (lo + du, step, coeffs)
+                           for ev, (lo, step, coeffs) in b.items()})
 
     __rmul__ = __mul__
 
@@ -204,35 +205,141 @@ class Poly2:
         return f"Poly2({to_text(self)!r})"
 
 
+def _dense(row: dict[int, int]) -> Row:
+    """The canonical row of a nonempty {u-exponent: nonzero coeff} map."""
+    lo = min(row)
+    if len(row) == 1:
+        return lo, 1, (row[lo],)
+    step = gcd(*[eu - lo for eu in row])
+    coeffs = [0] * ((max(row) - lo) // step + 1)
+    for eu, c in row.items():
+        coeffs[(eu - lo) // step] = c
+    return lo, step, tuple(coeffs)
+
+
+def _row(lo: int, step: int, coeffs: list[int]) -> Row | None:
+    """The canonical row of coeffs[i] * u**(lo + i*step), None if all are zero.
+
+    A list with no zero is canonical as it stands.  A zero sends it through
+    a trim of both ends and a re-stride by the gcd of the nonzero offsets.
+    """
+    if 0 in coeffs:
+        at = list(compress(range(len(coeffs)), coeffs))
+        if not at:
+            return None
+        first = at[0]
+        if len(at) == 1:
+            return lo + first * step, 1, (coeffs[first],)
+        k = gcd(*map(first.__rsub__, at))
+        coeffs = coeffs[first:at[-1] + 1:k]
+        lo, step = lo + first * step, step * k
+    elif len(coeffs) == 1:
+        step = 1
+    return lo, step, tuple(coeffs)
+
+
+def _pairs(row: Row) -> list[tuple[int, int]]:
+    """The (u-exponent, coeff) pairs of a row's nonzero terms, in order."""
+    lo, step, coeffs = row
+    return list(zip(compress(range(lo, lo + len(coeffs) * step, step), coeffs),
+                    filter(None, coeffs)))
+
+
+def _stride(row: Row) -> int:
+    """The row's step as a constraint on a common grid: 0 for one term."""
+    return row[1] if len(row[2]) > 1 else 0
+
+
+def _negated(row: Row) -> Row:
+    lo, step, coeffs = row
+    return lo, step, tuple(map(neg, coeffs))
+
+
+def _is_monomial(rows: Rows) -> bool:
+    return len(rows) == 1 and len(next(iter(rows.values()))[2]) == 1
+
+
 def _size(rows: Rows) -> int:
     """The number of terms in a row map."""
-    return sum(map(len, rows.values()))
+    return sum(len(coeffs) - coeffs.count(0) for _, _, coeffs in rows.values())
 
 
 def _max_abs(rows: Rows) -> int:
     """The largest coefficient magnitude in a nonzero row map."""
-    return max(max(map(abs, row.values())) for row in rows.values())
+    return max(max(map(abs, coeffs)) for _, _, coeffs in rows.values())
+
+
+def _combine(a: Row, b: Row, op) -> Row | None:
+    """a + b or a - b (op is `add` or `sub`) on two rows; None if it is zero.
+
+    Both rows are laid on their common grid: step g, the gcd of their steps
+    and of the distance between their lows.  A row whose step is larger
+    gets g-spaced zeros between its terms.  The left row is copied into a
+    list over the union of both spans and the right one is combined into it
+    by one `map` over its slice.
+    """
+    alo, astep, ac = a
+    blo, bstep, bc = b
+    g = gcd(_stride(a), _stride(b), blo - alo) or 1
+    if astep != g and len(ac) > 1:
+        ac = _spread(ac, astep // g)
+    if bstep != g and len(bc) > 1:
+        bc = _spread(bc, bstep // g)
+    lo = min(alo, blo)
+    ia, ib = (alo - lo) // g, (blo - lo) // g
+    out = [0] * ia
+    out += ac
+    out += [0] * (ib + len(bc) - len(out))
+    out[ib:ib + len(bc)] = map(op, out[ib:ib + len(bc)], bc)
+    return _row(lo, g, out)
+
+
+def _spread(coeffs: tuple[int, ...], k: int) -> list[int]:
+    """coeffs with k - 1 zeros between neighbours: the same row at step / k."""
+    out = [0] * ((len(coeffs) - 1) * k + 1)
+    out[::k] = coeffs
+    return out
 
 
 def _merge(a: Rows, b: Rows, subtract: bool) -> Rows:
-    """a + b, or a - b, on row maps; only the rows both have are merged."""
+    """a + b, or a - b, on row maps; only the rows both have are combined."""
     out = dict(a)
+    op = sub if subtract else add
     for ev, row in b.items():
         mine = out.get(ev)
         if mine is None:
-            out[ev] = {eu: -c for eu, c in row.items()} if subtract else row
-            continue
-        merged = mine.copy()
-        get = merged.get
-        for eu, c in row.items():
-            merged[eu] = get(eu, 0) - c if subtract else get(eu, 0) + c
-        if not all(merged.values()):
-            merged = {eu: c for eu, c in merged.items() if c}
-        if merged:
-            out[ev] = merged
-        else:
+            out[ev] = _negated(row) if subtract else row
+        elif (combined := _combine(mine, row, op)) is None:
             del out[ev]
+        else:
+            out[ev] = combined
     return out
+
+
+def _mul_rows(a: Rows, b: Rows) -> Rows:
+    """Product of two row maps, each of more than one term.
+
+    Packs by Kronecker substitution when the product's reduced exponent box
+    has no more digits than there are term pairs.  Otherwise it convolves
+    the rows pairwise: every pair of nonzero coefficients adds its product
+    into a map of its product row, which is then laid out dense.
+    """
+    grid = _grid(a, b)
+    _, _, _, span_a, span_b = grid
+    if (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1) <= _size(a) * _size(b):
+        return _mul_kronecker(a, b, grid)
+    out: dict[int, dict[int, int]] = {}
+    b_pairs = {bv: _pairs(row) for bv, row in b.items()}
+    for av, row_a in a.items():
+        a_pairs = _pairs(row_a)
+        for bv, pairs in b_pairs.items():
+            row = out.setdefault(av + bv, {})
+            get = row.get
+            for au, x in a_pairs:
+                for bu, y in pairs:
+                    row[au + bu] = get(au + bu, 0) + x * y
+    return {ev: _dense(r) for ev, row in out.items()
+            if (r := {eu: c for eu, c in row.items() if c})}
 
 
 def _grid(a: Rows, b: Rows):
@@ -242,15 +349,22 @@ def _grid(a: Rows, b: Rows):
     exponent of a is low_a + step * i with 0 <= i <= span_a per variable,
     and likewise for b.  The step is the gcd of all offsets from the minima
     of both operands (1 where they are all zero), so (u, v) values with only
-    even exponents pack as densely as their (q, z) view.
+    even exponents pack as densely as their (q, z) view.  The offsets of a
+    row's terms have the gcd of its low's offset and its step, so each row
+    adds just those two to the gcd.
     """
-    a_u = {eu for row in a.values() for eu in row}
-    b_u = {eu for row in b.values() for eu in row}
-    low_a, low_b = (min(a_u), min(a)), (min(b_u), min(b))
-    su = gcd(*{e - low_a[0] for e in a_u}, *{e - low_b[0] for e in b_u}) or 1
+    def bounds(rows):
+        low = min(lo for lo, _, _ in rows.values())
+        high = max(lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values())
+        return low, high, [x for r in rows.values() for x in (r[0] - low, _stride(r))]
+
+    la, ha, offsets_a = bounds(a)
+    lb, hb, offsets_b = bounds(b)
+    low_a, low_b = (la, min(a)), (lb, min(b))
+    su = gcd(*offsets_a, *offsets_b) or 1
     sv = gcd(*{e - low_a[1] for e in a}, *{e - low_b[1] for e in b}) or 1
-    span_a = ((max(a_u) - low_a[0]) // su, (max(a) - low_a[1]) // sv)
-    span_b = ((max(b_u) - low_b[0]) // su, (max(b) - low_b[1]) // sv)
+    span_a = ((ha - la) // su, (max(a) - low_a[1]) // sv)
+    span_b = ((hb - lb) // su, (max(b) - low_b[1]) // sv)
     return low_a, low_b, (su, sv), span_a, span_b
 
 
@@ -271,7 +385,7 @@ def _pack(rows: Rows, low: Exponents, step: Exponents, row: int, nrows: int,
     neg = [bytearray((nrows * row + parts) * width) for _ in range(parts)]
     for ev, r in rows.items():
         base = (ev - lv) // sv * row
-        for eu, c in r.items():
+        for eu, c in _pairs(r):
             p = base + (eu - lu) // su
             at = p * width
             if c > 0:
@@ -287,31 +401,37 @@ def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
     """Inverse of `_pack` in balanced digits, each in [-2**(8*width-1), 2**(8*width-1)).
 
     Adding half the digit range to every digit makes each one nonnegative,
-    so negative digits need no borrow.  Each packed row is one z-row.
-    Returns None when the digits of `value` do not fit `nrows` rows, or a
-    nonzero one lies in a column >= `cols` of its row.
+    so negative digits need no borrow.  Each packed row is one z-row.  Its
+    bytes XOR the biased zero row mark its nonzero digits, so two bit
+    lengths give its first and last one, and one comprehension over that
+    slice decodes the row.  Returns None when the digits of `value` do not
+    fit `nrows` rows, or a nonzero one lies in a column >= `cols` of its row.
     """
     (lu, lv), (su, sv) = low, step
-    half = 1 << (8 * width - 1)
+    bits = 8 * width
+    half = 1 << (bits - 1)
     zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
     biased = value + int.from_bytes(zero * (nrows * row), "little")
-    if biased < 0 or biased.bit_length() > 8 * width * nrows * row:
+    if biased < 0 or biased.bit_length() > bits * nrows * row:
         return None
     data = biased.to_bytes(nrows * row * width, "little")
-    last = lu + cols * su
+    zero_row = int.from_bytes(zero * row, "little")
+    from_bytes = int.from_bytes
     out: Rows = {}
-    at = 0
-    for ev in range(lv, lv + nrows * sv, sv):
-        r = {}
-        for eu in range(lu, lu + row * su, su):
-            digit = data[at:at + width]
-            if digit != zero:
-                if eu >= last:
-                    return None
-                r[eu] = int.from_bytes(digit, "little") - half
-            at += width
-        if r:
-            out[ev] = r
+    size = row * width
+    for k in range(nrows):
+        at = k * size
+        mark = from_bytes(data[at:at + size], "little") ^ zero_row
+        if not mark:
+            continue
+        first = ((mark & -mark).bit_length() - 1) // bits
+        last = (mark.bit_length() - 1) // bits
+        if last >= cols:
+            return None
+        chunk = data[at + first * width:at + (last + 1) * width]
+        coeffs = [from_bytes(chunk[i:i + width], "little") - half
+                  for i in range(0, len(chunk), width)]
+        out[lv + k * sv] = _row(lu + first * su, su, coeffs)
     return out
 
 
@@ -351,7 +471,7 @@ def _coerce(x: "Poly2 | int") -> Poly2:
 
 
 ZERO = Poly2._raw({})
-ONE = Poly2._raw({0: {0: 1}})
+ONE = Poly2._raw({0: (0, 1, (1,))})
 
 
 def q_pow(k: int) -> Poly2:
@@ -404,7 +524,7 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
         raise ExactDivisionError("divisor spans more than the dividend")
     rows_a, rows_b = span_a[1] + 1, span_b[1] + 1
     a_max, b_max = _max_abs(ta), _max_abs(tb)
-    norm = isqrt(sum(c * c for row in ta.values() for c in row.values())) + 1  # exceeds ||a||_2
+    norm = isqrt(sum(c * c for _, _, coeffs in ta.values() for c in coeffs)) + 1  # exceeds ||a||_2
     cap = _width(norm << ((rows - 1) * row + cols))  # 2**d * norm, doubled
     width = _width(b_max)
     while True:
@@ -432,14 +552,14 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
 
 def eval_u1(a: Poly2) -> Poly2:
     """Substitute u := 1 (hence q = 1); the result lives in Z[v]."""
-    return Poly2({(0, ev): sum(row.values()) for ev, row in a._rows.items()})
+    return Poly2({(0, ev): sum(coeffs) for ev, (_, _, coeffs) in a._rows.items()})
 
 
 def qz_terms(a: Poly2) -> Iterator[tuple[Exponents, int]]:
     """Lazily yield ((q-degree, z-degree), coeff) for each term; an odd
     exponent is a half power that did not cancel and raises ValueError."""
     for ev, row in a._rows.items():
-        for eu, c in row.items():
+        for eu, c in _pairs(row):
             if eu % 2 or ev % 2:
                 raise ValueError(f"odd exponent ({eu}, {ev}): not a (q, z) polynomial")
             yield (eu // 2, ev // 2), c
@@ -567,20 +687,29 @@ def _view(p: Poly2) -> tuple[bool, Iterator[tuple[int, int, int]]]:
     coeff), yielded lazily in graded-lex order.  One int key per term sorts
     them: (u + v) * span + u, with span above every u-exponent, orders as
     (u + v, u), which fixes v, and so as (q + z, q, z) in the (q, z) view.
-    Each coefficient is read back from its row as it is yielded.
+    A row's keys, v * span + u * (span + 1), form one range, and `compress`
+    keeps those of its nonzero coefficients.  Each coefficient is read back
+    from its row as it is yielded.
     """
     rows = p._rows
-    span = 1 + max((max(row) for row in rows.values()), default=0)
-    keys = [(eu + ev) * span + eu for ev, row in rows.items() for eu in row]
+    span = 1 + max((lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values()),
+                   default=0)
+    keys: list[int] = []
+    for ev, (lo, step, coeffs) in rows.items():
+        start = ev * span + lo * (span + 1)
+        keys += compress(range(start, start + len(coeffs) * step * (span + 1),
+                               step * (span + 1)), coeffs)
     keys.sort()
-    qz = not any(ev % 2 or any(eu % 2 for eu in row) for ev, row in rows.items())
+    qz = all(ev % 2 == 0 and row[0] % 2 == 0 and _stride(row) % 2 == 0
+             for ev, row in rows.items())
     shift = 1 if qz else 0
 
     def terms():
         for key in keys:
             total, eu = divmod(key, span)
             ev = total - eu
-            yield eu >> shift, ev >> shift, rows[ev][eu]
+            lo, step, coeffs = rows[ev]
+            yield eu >> shift, ev >> shift, coeffs[(eu - lo) // step]
 
     return qz, terms()
 

@@ -88,6 +88,17 @@ def test_det_holds_two_values_not_the_table():
     assert traced_peak(lambda: lambda_rec(n)) < traced_peak(lambda: tuple(lambdas(n))) / 2
 
 
+def test_lambda_rows_store_no_zero():
+    # The z^k row of lam(j) is q^(k(k-1)) [j-k k]_q, and every coefficient of
+    # a Gaussian binomial in its degree range is nonzero, so the dense rows
+    # of lam(j) hold no zero: one tuple slot per term, at step 2 in u.
+    for j, lam in enumerate(lambdas(40)):
+        for ev, (lo, step, coeffs) in lam._rows.items():
+            k = ev // 2
+            assert (lo, len(coeffs)) == (2 * k * (k - 1), k * (j - 2 * k) + 1), (j, k)
+            assert 0 not in coeffs and (step == 2 or len(coeffs) == 1), (j, k)
+
+
 def test_sum_equals_rec_up_to_24():
     fam = tuple(lambdas(24))
     for j in range(25):
@@ -161,6 +172,21 @@ class TestClosedFactors:
     def test_superdiagonal_matches_matrix(self):
         f = closed_factors(6)
         assert f.u_super == lehmer_matrix(6).superdiag
+
+    def test_subdiagonal_numerators_share_the_lambda_tuples(self):
+        # L_{j+1,j} = v u^(j-1) lam(j-1)/lam(j): the numerator is a shift of
+        # lam(j-1) by a monomial with coefficient 1, so each of its rows keeps
+        # the coefficient tuple of lam(j-1)'s row, which is the denominator
+        # of U_{j,j}, rather than a copy of it.  (From j = 3 on: lam(0) and
+        # lam(1) are `ONE`, and a product with `ONE` is the other operand.)
+        n = 24
+        f = closed_factors(n)
+        for j in range(3, n):
+            num, lam = f.l_sub[j - 1].num, f.u_diag[j - 1].den
+            assert num == band_monomial(j) * lam
+            assert len(num._rows) == len(lam._rows)
+            for ev, (lo, step, coeffs) in lam._rows.items():
+                assert num._rows[ev + 1][2] is coeffs, (j, ev)
 
 
 class TestDetClosed:

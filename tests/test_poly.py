@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlehmer import poly
@@ -32,6 +32,8 @@ from qlehmer.qcomb import poch_qq
 
 U = Poly2.monomial(1, 1, 0)
 V = Poly2.monomial(1, 0, 1)
+Q = q_pow(1)
+BIG = 2**200
 
 
 def P(terms):
@@ -60,6 +62,20 @@ def wide_polys(draw):
     coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**200, 2**200)).filter(bool)
     return Poly2({(low_u + step_u * (k % span_u), low_v + step_v * (k // span_u)): draw(coeffs)
                   for k in cells})
+
+
+@st.composite
+def stepped_polys(draw):
+    """Up to three rows, each with its own low, step and parity, and with
+    coefficients that mix small values, zeros and ones of about 2**200, so
+    sums cancel inside rows and at their ends."""
+    coeffs = st.one_of(st.integers(-3, 3), st.sampled_from([BIG, -BIG, BIG + 1]))
+    terms = {}
+    for ev in draw(st.sets(st.integers(0, 4), max_size=3)):
+        lo, step = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+        for i, c in enumerate(draw(st.lists(coeffs, min_size=1, max_size=5))):
+            terms[(lo + i * step, ev)] = c
+    return Poly2(terms)
 
 
 def kronecker(a, b):
@@ -260,8 +276,15 @@ def test_distributive(a, b, c):
 
 
 def canonical(p):
-    """No zero coefficient and no empty row in the term store."""
-    return all(row and all(row.values()) for row in p._rows.values())
+    """Every stored row is a dense row in canonical form: a tuple of
+    coefficients with nonzero ends, stepped by the gcd of the nonzero
+    terms' offsets (1 for a one-term row)."""
+    for lo, step, coeffs in p._rows.values():
+        if type(coeffs) is not tuple or not coeffs or not coeffs[0] or not coeffs[-1]:
+            return False
+        if step != (math.gcd(*(i * step for i, c in enumerate(coeffs) if c)) or 1):
+            return False
+    return True
 
 
 # Monomials with any exponents and a coefficient of 1, -1, a small value or
@@ -342,9 +365,17 @@ z_shifts = st.builds(Poly2.monomial, st.just(1), st.just(0), st.integers(0, 8))
 
 
 @settings(deadline=None)
-@given(st.one_of(polys, wide_polys()),
-       st.one_of(polys, monomials, z_shifts, st.sampled_from([ZERO, ONE])),
+@given(st.one_of(polys, wide_polys(), stepped_polys()),
+       st.one_of(polys, monomials, z_shifts, stepped_polys(), st.sampled_from([ZERO, ONE])),
        st.integers(0, 3))
+# (1 + q + q^2) - q cancels inside the row, so its step rises from 2 to 4.
+@example(ONE + Q + Q * Q, Q, 2)
+# (1 + q + q^2 + q^3) - (1 + q^3) cancels at both ends, so the row is trimmed.
+@example(ONE + Q + Q * Q + Q ** 3, ONE + Q ** 3, 1)
+# q-rows next to v*u^odd rows, and sums that lay both on step 1.
+@example((ONE + Q + Q * Q) * (ONE + V * U), U + V * U * U, 2)
+# Coefficients of about 2**200 that cancel inside a row and at its end.
+@example(BIG * (ONE + Q + Q ** 3) + 3 * Q * Q, BIG * (Q + Q ** 3) + V, 3)
 def test_results_share_rows_without_changing_operands(a, b, k):
     # Sums take rows of either operand as they are, so no operation, on
     # operands or on results built from them, may change a row in place, and
@@ -361,6 +392,30 @@ def test_results_share_rows_without_changing_operands(a, b, k):
     more += [-r for r in values]
     assert [v.terms for v in values] == seen
     assert all(canonical(v) for v in values + more)
+
+
+def test_rows_are_trimmed_and_restrided():
+    # The stored rows themselves, (lo, step, coeffs) per v-exponent.
+    assert ((ONE + Q + Q * Q) - Q)._rows == {0: (0, 4, (1, 1))}
+    assert ((ONE + Q + Q * Q + Q ** 3) - (ONE + Q ** 3))._rows == {0: (2, 2, (1, 1))}
+    assert ((ONE + Q * Q) - ONE)._rows == {0: (4, 1, (1,))}  # one term: step 1
+    assert ((ONE + Q) + U)._rows == {0: (0, 1, (1, 1, 1))}
+    assert (ONE + U ** 3 + V * U)._rows == {0: (0, 3, (1, 1)), 1: (1, 1, (1,))}
+    big = BIG * (ONE + Q + Q * Q) - BIG * Q
+    assert big._rows == {0: (0, 4, (BIG, BIG))}
+    assert (big - BIG * Q * Q)._rows == {0: (0, 1, (BIG,))}
+
+
+@given(st.one_of(polys, wide_polys(), stepped_polys()), exponent_pairs)
+def test_unit_shift_reuses_the_coefficient_tuples(p, e):
+    # A shift by a monomial with coefficient 1 moves each row's low and
+    # v-exponent and keeps its coefficient tuple itself.
+    m = Poly2.monomial(1, *e)
+    shifted = m * p
+    assert shifted == schoolbook(m, p)
+    assert len(shifted._rows) == len(p._rows)
+    for ev, (_, _, coeffs) in p._rows.items():
+        assert shifted._rows[ev + e[1]][2] is coeffs
 
 
 # -- shared-denominator identities of RatFunc ----------------------------------
