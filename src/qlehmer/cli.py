@@ -50,10 +50,9 @@ CLOSED_MAX_N = 212
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
 # denominators), so its output outgrows `det`'s.  It is written in pieces,
 # and the factors share their coefficient tuples with the lam table, so the
-# table sets the peak.  Time binds first: the cap keeps text output, the
-# slower form, at about 5 s.  In one phase of the host `lu 80` took 2.7 to
-# 3.6 s and 38 MB, `lu 88` 4.9 to 5.6 s and 49 MB, `lu 88 --json` 3.4 s and
-# 59 MB, and `lu 92` 7.1 to 7.7 s.
+# table sets the peak.  Time binds first, nearly all of it printing: in one
+# phase of the host `lu 88` took 3.9 to 4.9 s and 49 MB in text form and
+# 4.7 to 5.2 s and 60 MB with --json.
 LU_MAX_N = 88
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
 # the worst k is n/2, where `qbinom 176 88` takes 4.3 s and 23 MB and
@@ -65,9 +64,12 @@ QBINOM_MAX_N = 200
 # more width doubling in `exact_div`, so its division runs on digits twice as
 # wide: `stabilize 300 85` takes 18 s.
 STABILIZE_MAX_N = 290
-# `limit`: z^k costs a series inversion of k passes over qdeg + 1 partition
-# counts, and z^k is zero once k(k-1) > qdeg; `limit --zdeg 60 --qdeg 10000`
-# takes 9.4 to 11 s and 175 MB.
+# `limit`: one stride pass per z-power over at most qdeg + 1 partition
+# counts, and z^k is zero once k(k-1) > qdeg, so printing dominates;
+# `limit --zdeg 60 --qdeg 10000` takes 1.0 to 1.2 s and 91 MB in text form,
+# and 1.5 to 1.7 s and 214 MB with --json, whose one `json.dumps` string
+# sets the peak.  So memory, not time, binds the caps now; writing the JSON
+# form in pieces would be what lets them grow.
 LIMIT_MAX_ZDEG = 60
 LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600

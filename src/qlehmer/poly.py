@@ -6,8 +6,8 @@ Working in (u, v) makes every entry of the Lehmer matrix an honest monomial
 ever appear.  Values that live in the plain (q, z) world are exactly the
 polynomials whose u- and v-exponents are all even.  `qz_terms` reads their
 (q, z) degrees for computation and `_view` reads them for printing; no other
-code tests exponent parity or halves exponents.  `q_poly`, `q_pow` and
-`z_pow` are the ones that build them.
+code tests exponent parity or halves exponents.  `q_poly`, `q_dense`,
+`q_pow` and `z_pow` are the ones that build them.
 
 A polynomial is stored as z-rows: a map from each v-exponent to its row,
 with no empty row; zero is the empty map.  A row is a dense triple
@@ -571,6 +571,13 @@ def q_poly(pairs: Iterable[tuple[int, int]]) -> Poly2:
     return Poly2({(2 * d, 0): c for d, c in pairs})
 
 
+def q_dense(coeffs: list[int], start: int) -> Poly2:
+    """Sum of coeffs[i] * q**(start + i) over a nonempty list, start >= 0,
+    as one row; a list with no zero is stored as it stands."""
+    row = _row(2 * start, 2, coeffs)
+    return Poly2._raw({0: row}) if row else ZERO
+
+
 def eval_qz(a: Poly2, q_val: int, z_val: int) -> int:
     """Evaluate an even-exponent polynomial at integer q and z values."""
     return sum(c * q_val ** dq * z_val ** dz for (dq, dz), c in qz_terms(a))
@@ -718,25 +725,35 @@ def to_text(p: Poly2) -> str:
     """Canonical text form: graded-lex order, (q, z) view when exponents allow.
 
     Examples: `1 - z - q*z` in the (q, z) view, `v*u^2` in the (u, v) view.
+    Every term is rendered with its sign, " + t" or " - t", by one or two
+    f-strings; the first term's sign is fixed once at the end.
     """
     qz, terms = _view(p)
+    if qz:
+        x, y = "q", "z"
+    else:
+        x, y = "v", "u"
+        terms = ((b, a, c) for a, b, c in terms)
     parts: list[str] = []
-    for a, b, coeff in terms:
-        factors = (("q", a), ("z", b)) if qz else (("v", b), ("u", a))
-        body = "*".join(name if e == 1 else f"{name}^{e}"
-                        for name, e in factors if e)
-        mag = abs(coeff)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
+    for a, b, c in terms:
+        if not b:
+            if not a:
+                parts.append(f" + {c}" if c > 0 else f" - {-c}")
+                continue
+            body = x if a == 1 else f"{x}^{a}"
+        elif not a:
+            body = y if b == 1 else f"{y}^{b}"
         else:
-            text = f"{mag}*{body}"
-        if not parts:
-            parts.append(text if coeff > 0 else f"-{text}")
+            body = f"{x if a == 1 else f'{x}^{a}'}*{y if b == 1 else f'{y}^{b}'}"
+        if c > 0:
+            parts.append(f" + {body}" if c == 1 else f" + {c}*{body}")
         else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {text}")
-    return " ".join(parts) or "0"
+            parts.append(f" - {body}" if c == -1 else f" - {-c}*{body}")
+    if not parts:
+        return "0"
+    first = parts[0]
+    parts[0] = first[3:] if first[1] == "+" else f"-{first[3:]}"
+    return "".join(parts)
 
 
 def to_json_obj(p: Poly2) -> dict:

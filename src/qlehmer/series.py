@@ -6,7 +6,11 @@ As n grows, det M(n) stabilizes coefficient-wise to the q-series
 
 represented here, truncated at z-degree K and q-degree D, as the tuple of
 its K + 1 coefficients of z^0..z^K, each a q-polynomial of degree at most D
-in the half-power carrier of `qlehmer.poly`.  `stabilization_check`
+in the half-power carrier of `qlehmer.poly`.  `limit_det` builds the
+inverses 1/(q;q)_k for k = 0..K on one running list, one stride pass per
+k, and certifies each step: inv_k * (1 - q^k) == inv_(k-1) modulo the
+q-degree kept, so by induction from inv_0 = 1 each inv_k * (q;q)_k is 1
+there.  `stabilization_check`
 measures, for one z-power at a time, through which q-degree the finite
 determinant already agrees with the limit; the answer is exactly n - 2k for
 k >= 1, because [n-k k]_q = (q^(n-2k+1); q)_k / (q;q)_k and the numerator is
@@ -25,10 +29,25 @@ against the exhaustive DP oracle `dyck_count`.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
+from operator import neg, sub
 
 from .lehmer import lambdas
-from .poly import ZERO, Poly2, eval_u1, q_poly, qz_terms
+from .poly import ONE, ZERO, Poly2, eval_u1, q_dense, q_poly, qz_terms
 from .qcomb import gauss_product, poch_qq
+
+
+def _divide_by_one_minus(a: list[int], part: int) -> None:
+    """Multiply the series a by 1/(1 - q^part) modulo q^len(a), in place.
+
+    That is the recurrence a[d] += a[d - part] for d = part..len(a) - 1 in
+    increasing order: a[d - part] has already become the sum over j >= 0 of
+    a[d - part - j*part], so a[d] becomes the sum over j >= 0 of
+    a[d - j*part].  So each residue class of d modulo `part` becomes its own
+    running sum, which `accumulate` takes in one C-level pass per class.
+    """
+    for r in range(min(part, len(a))):
+        a[r::part] = accumulate(a[r::part])
 
 
 def invert_poch(k: int, trunc: int) -> Poly2:
@@ -36,11 +55,8 @@ def invert_poch(k: int, trunc: int) -> Poly2:
 
     1/(q;q)_k is the product over parts i <= k of 1/(1 - q^i) =
     1 + q^i + q^(2i) + ..., the generating function of partitions into
-    parts <= k.  Multiplying a series a by 1/(1 - q^i) modulo q^(trunc+1)
-    is the recurrence a[d] += a[d - i] for d = i..trunc in increasing
-    order: a[d - i] has already become sum over j >= 0 of a[d - i - j*i],
-    so a[d] becomes sum over j >= 0 of a[d - j*i].  One such pass per part
-    builds the inverse in O(k*trunc) steps without reading (q;q)_k.
+    parts <= k.  One stride pass per part (`_divide_by_one_minus`) builds
+    the inverse in O(k*trunc) steps without reading (q;q)_k.
 
     The result is certified on the spot against the independently built
     product `poch_qq(k)`: the two must multiply to 1 modulo q^(trunc+1).
@@ -49,9 +65,8 @@ def invert_poch(k: int, trunc: int) -> Poly2:
         raise ValueError("arguments must be nonnegative")
     inv = [1] + [0] * trunc
     for part in range(1, k + 1):
-        for d in range(part, trunc + 1):
-            inv[d] += inv[d - part]
-    result = q_poly(enumerate(inv))
+        _divide_by_one_minus(inv, part)
+    result = q_dense(inv, 0)
     check = result * poch_qq(k)
     residue = {e: c for e, c in qz_terms(check) if e[0] <= trunc}
     if residue != {(0, 0): 1}:
@@ -62,17 +77,34 @@ def invert_poch(k: int, trunc: int) -> Poly2:
 def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
     """The limit determinant truncated at (z_trunc, q_trunc), as the tuple of
     its coefficients of z^0..z^z_trunc: the z^k one is (-1)^k q^(k(k-1)) /
-    (q;q)_k through q-degree q_trunc."""
+    (q;q)_k through q-degree q_trunc, and zero once k(k-1) > q_trunc.
+
+    One list of coefficients runs through the z-powers: inv_0 = 1, and
+    inv_k = inv_(k-1) / (1 - q^k) is one stride pass, kept modulo
+    q^(D_k + 1) with D_k = q_trunc - k(k-1), the q-degrees that z^k needs.
+    Each step is certified before it is used, by one more pass that checks
+    inv_k * (1 - q^k) == inv_(k-1) modulo q^(D_k + 1): inv_k[d] equals
+    inv_(k-1)[d] for d < k, and inv_k[d] - inv_k[d - k] does for
+    k <= d <= D_k.  Chained from inv_0 = 1, these give by induction
+    inv_k * (q;q)_k == inv_(k-1) * (q;q)_(k-1) == 1 modulo q^(D_k + 1),
+    since D_k never grows with k; a failed step raises ArithmeticError.
+    """
     if z_trunc < 0 or q_trunc < 0:
         raise ValueError("truncation orders must be nonnegative")
-    coeffs = []
-    for k in range(z_trunc + 1):
+    coeffs = [ONE]
+    inv = [1] + [0] * q_trunc
+    for k in range(1, z_trunc + 1):
         shift = k * (k - 1)
         if shift > q_trunc:
             coeffs.append(ZERO)
             continue
-        body = invert_poch(k, q_trunc - shift)
-        coeffs.append(Poly2.monomial((-1) ** k, 2 * shift, 0) * body)
+        prev = inv[:q_trunc - shift + 1]
+        inv = prev.copy()
+        _divide_by_one_minus(inv, k)
+        if inv[:k] != prev[:k] or list(map(sub, inv[k:], inv)) != prev[k:]:
+            raise ArithmeticError(f"series inversion step failed certification for k={k}")
+        # Partitions of d into parts <= k exist for every d, so no zero.
+        coeffs.append(q_dense(list(map(neg, inv)) if k % 2 else inv, shift))
     return tuple(coeffs)
 
 

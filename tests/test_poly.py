@@ -628,6 +628,13 @@ def test_q_poly_drops_zero_coefficients(m):
     assert dict(qz_terms(p)) == {(d, 0): c for d, c in m.items() if c}
 
 
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8), st.integers(0, 5))
+def test_q_dense_matches_q_poly(coeffs, start):
+    p = poly.q_dense(list(coeffs), start)
+    assert p == q_poly((start + i, c) for i, c in enumerate(coeffs))
+    assert canonical(p)
+
+
 def test_q_poly_rejects_a_negative_degree():
     with pytest.raises(ValueError):
         q_poly([(0, 1), (-1, 1)])
@@ -785,15 +792,24 @@ wide_exponent_pairs = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
 
 @st.composite
 def printable_term_maps(draw):
-    """Term maps with only even exponents, or with at least one odd one."""
+    """Term maps with only even exponents, or with at least one odd one;
+    half of them hold a constant term."""
     pairs = draw(st.sampled_from([exponent_pairs, wide_exponent_pairs]))
     terms = draw(st.dictionaries(pairs, text_coeffs, max_size=8))
+    if draw(st.booleans()):
+        terms[(0, 0)] = draw(text_coeffs)
     if draw(st.booleans()):
         return {(2 * eu, 2 * ev): c for (eu, ev), c in terms.items()}
     odd = draw(exponent_pairs.filter(lambda e: e[0] % 2 or e[1] % 2))
     return {**terms, odd: draw(text_coeffs)}
 
 
+@example({})
+@example({(0, 0): 1})
+@example({(0, 0): -1})
+@example({(0, 0): -3, (2, 0): 1, (0, 2): -1})
+@example({(1, 0): -1, (0, 1): 1})
+@example({(2, 2): -1, (4, 0): -5})
 @given(printable_term_maps())
 def test_text_and_json_follow_the_documented_grammar(terms):
     p = Poly2(terms)

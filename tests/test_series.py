@@ -76,6 +76,41 @@ class TestLimitDet:
                         assert dz == 0 and dq <= q_trunc, (z_trunc, q_trunc)
 
 
+    def test_matches_the_certified_per_power_inverse(self):
+        # The chained steps against the route that inverts (q;q)_k afresh
+        # and certifies it by the product with poch_qq(k).
+        expected = {}
+        for q_trunc in range(61):
+            for k in range(9):
+                shift = k * (k - 1)
+                expected[k, q_trunc] = (poly.ZERO if shift > q_trunc else
+                                        Poly2.monomial((-1) ** k, 2 * shift, 0)
+                                        * invert_poch(k, q_trunc - shift))
+        for z_trunc in range(9):
+            for q_trunc in range(61):
+                coeffs = limit_det(z_trunc, q_trunc)
+                for k, c in enumerate(coeffs):
+                    assert c == expected[k, q_trunc], (z_trunc, q_trunc, k)
+                    assert Poly2(c.terms) == c  # stored in canonical form
+
+    @pytest.mark.parametrize("part, d", [(1, 0), (1, 30), (2, 1), (3, 40), (7, 6), (7, 18),
+                                         (8, 4)])
+    def test_chained_certificate_rejects_a_wrong_step(self, monkeypatch, part, d):
+        # One coefficient of one stride pass off by one, below the part (the
+        # check inv_k[d] == inv_(k-1)[d]) or at or above it (the check on
+        # inv_k[d] - inv_k[d - k]); at (8, 60) step k keeps 61 - k(k-1) terms.
+        real = series._divide_by_one_minus
+
+        def off_by_one(a, k):
+            real(a, k)
+            if k == part:
+                a[d] += 1
+
+        monkeypatch.setattr(series, "_divide_by_one_minus", off_by_one)
+        with pytest.raises(ArithmeticError):
+            limit_det(8, 60)
+
+
 class TestSeriesFromPoly:
     def test_truncates_finite_determinant(self):
         s = series_from_poly(lambda_rec(6), 1, 2)
