@@ -3,17 +3,18 @@
 Output is deterministic (identical bytes for identical arguments).  Exit
 codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage error (argparse's own convention).
+
+Each verb imports the modules it runs when it runs, and `json` only for its
+`--json` form: every command starts a fresh interpreter, and for the small
+ones importing the whole package would cost more than the work.  So
+`qlehmer --help` loads no module of the package besides this one, and
+`qbinom` none of `lehmer`, `linalg` or `series`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-from . import lehmer, linalg, series
-from .poly import ratfunc_to_json_obj, to_json_obj, to_text
-from .qcomb import gauss_product
 
 
 def _positive_int(text: str) -> int:
@@ -66,10 +67,9 @@ QBINOM_MAX_N = 200
 STABILIZE_MAX_N = 290
 # `limit`: one stride pass per z-power over at most qdeg + 1 partition
 # counts, and z^k is zero once k(k-1) > qdeg, so printing dominates;
-# `limit --zdeg 60 --qdeg 10000` takes 1.0 to 1.2 s and 91 MB in text form,
-# and 1.5 to 1.7 s and 214 MB with --json, whose one `json.dumps` string
-# sets the peak.  So memory, not time, binds the caps now; writing the JSON
-# form in pieces would be what lets them grow.
+# `limit --zdeg 60 --qdeg 10000` takes 0.6 s and 90 MB in text form, which
+# is printed as one 23.5 MB string, and 0.7 s and 49 MB with --json, which
+# is written in pieces (214 MB when it was one `json.dumps` string).
 LIMIT_MAX_ZDEG = 60
 LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
@@ -93,7 +93,14 @@ def _capped(parse, cap: int, verb: str, arg: str, why: str):
 
 
 def _print_poly(value, as_json: bool) -> None:
-    print(json.dumps(to_json_obj(value)) if as_json else to_text(value))
+    from .poly import to_json_obj, to_text
+
+    if as_json:
+        import json
+
+        print(json.dumps(to_json_obj(value)))
+    else:
+        print(to_text(value))
 
 
 def _write_joined(parts) -> None:
@@ -118,6 +125,8 @@ def _print_bands(n: int, bands, as_json: bool) -> None:
     object, or of one "key: a, b, ..." line per band.
     """
     if as_json:
+        import json
+
         sys.stdout.write(f'{{"n": {n}')
         for key, entries, to_obj in bands:
             sys.stdout.write(f', "{key}": [')
@@ -133,11 +142,16 @@ def _print_bands(n: int, bands, as_json: bool) -> None:
 
 
 def _cmd_lambda(args) -> int:
+    from . import lehmer
+
     _print_poly(lehmer.lambda_rec(args.j), args.json)
     return 0
 
 
 def _cmd_matrix(args) -> int:
+    from . import lehmer
+    from .poly import to_json_obj
+
     m = lehmer.lehmer_matrix(args.n)
     _print_bands(m.n, (("diag", m.diag, to_json_obj), ("super", m.superdiag, to_json_obj),
                        ("sub", m.subdiag, to_json_obj)), args.json)
@@ -145,11 +159,16 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from . import lehmer
+
     _print_poly(lehmer.lambda_rec(args.n), args.json)
     return 0
 
 
 def _cmd_lu(args) -> int:
+    from . import lehmer
+    from .poly import ratfunc_to_json_obj, to_json_obj
+
     f = lehmer.closed_factors(args.n)
     _print_bands(f.n, (("u_diag", f.u_diag, ratfunc_to_json_obj),
                        ("u_super", f.u_super, to_json_obj),
@@ -158,21 +177,32 @@ def _cmd_lu(args) -> int:
 
 
 def _cmd_qbinom(args) -> int:
+    from .qcomb import gauss_product
+
     _print_poly(gauss_product(args.n, args.k), args.json)
     return 0
 
 
 def _cmd_limit(args) -> int:
+    from . import series
+    from .poly import to_json_obj, to_text
+
     coeffs = series.limit_det(args.zdeg, args.qdeg)
     if args.json:
-        print(json.dumps({"z_trunc": args.zdeg, "q_trunc": args.qdeg,
-                          "coeffs": [to_json_obj(c) for c in coeffs]}))
+        import json
+
+        # The bytes of json.dumps on the whole object, written in pieces.
+        sys.stdout.write(f'{{"z_trunc": {args.zdeg}, "q_trunc": {args.qdeg}, "coeffs": [')
+        _write_joined(json.dumps(to_json_obj(c)) for c in coeffs)
+        sys.stdout.write("]}\n")
     else:
         print("\n".join(f"z^{k}: {to_text(c)}" for k, c in enumerate(coeffs)))
     return 0
 
 
 def _cmd_stabilize(args) -> int:
+    from . import series
+
     try:
         d = series.stabilization_check(args.n, args.k)
     except ValueError as exc:
@@ -183,11 +213,15 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_dyck(args) -> int:
+    from . import series
+
     print(series.dyck_count(args.m, args.h))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import lehmer, linalg
+
     m = lehmer.lehmer_matrix(args.n)
     f = lehmer.closed_factors(args.n)
     det = lehmer.lambda_rec(args.n)

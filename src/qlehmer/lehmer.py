@@ -20,14 +20,12 @@ size of lam(n) (about n^3/24 terms), not as the whole table (about n^4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .poly import ONE, ZERO, Poly2, RatFunc, q_pow, z_pow
 from .qcomb import gauss_product
 
 
-@dataclass(frozen=True)
 class TriMatrix:
     """Tridiagonal matrix stored as bands of polynomials.
 
@@ -35,18 +33,20 @@ class TriMatrix:
     entry, 0-based lists for 1-based matrix positions.
     """
 
-    n: int
-    diag: tuple[Poly2, ...]
-    superdiag: tuple[Poly2, ...]
-    subdiag: tuple[Poly2, ...]
+    __slots__ = ("n", "diag", "superdiag", "subdiag")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, diag: tuple[Poly2, ...], superdiag: tuple[Poly2, ...],
+                 subdiag: tuple[Poly2, ...]):
+        if n < 1:
             raise ValueError("matrix dimension must be positive")
-        if len(self.diag) != self.n:
+        if len(diag) != n:
             raise ValueError("diagonal band must have n entries")
-        if len(self.superdiag) != self.n - 1 or len(self.subdiag) != self.n - 1:
+        if len(superdiag) != n - 1 or len(subdiag) != n - 1:
             raise ValueError("off-diagonal bands must have n-1 entries")
+        self.n = n
+        self.diag = diag
+        self.superdiag = superdiag
+        self.subdiag = subdiag
 
     def entry(self, i: int, j: int) -> Poly2:
         """Entry at 0-based (i, j), zero off the three bands."""
@@ -59,25 +59,33 @@ class TriMatrix:
         return ZERO
 
 
-@dataclass(frozen=True)
 class BandedFactors:
     """LU factors of a tridiagonal matrix: L unit lower bidiagonal, U upper
     bidiagonal.  `u_diag[j]` is U_{j+1,j+1}, `u_super[j]` is U_{j+1,j+2},
     `l_sub[j]` is L_{j+2,j+1}; the L diagonal is implicitly all ones.
+    Two factorizations are equal when every entry is equal as a value.
     """
 
-    n: int
-    u_diag: tuple[RatFunc, ...]
-    u_super: tuple[Poly2, ...]
-    l_sub: tuple[RatFunc, ...]
+    __slots__ = ("n", "u_diag", "u_super", "l_sub")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, u_diag: tuple[RatFunc, ...], u_super: tuple[Poly2, ...],
+                 l_sub: tuple[RatFunc, ...]):
+        if n < 1:
             raise ValueError("factor dimension must be positive")
-        if len(self.u_diag) != self.n:
+        if len(u_diag) != n:
             raise ValueError("U diagonal must have n entries")
-        if len(self.u_super) != self.n - 1 or len(self.l_sub) != self.n - 1:
+        if len(u_super) != n - 1 or len(l_sub) != n - 1:
             raise ValueError("off-diagonal bands must have n-1 entries")
+        self.n = n
+        self.u_diag = u_diag
+        self.u_super = u_super
+        self.l_sub = l_sub
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BandedFactors):
+            return NotImplemented
+        return ((self.n, self.u_diag, self.u_super, self.l_sub)
+                == (other.n, other.u_diag, other.u_super, other.l_sub))
 
 
 def lambda_sum(j: int) -> Poly2:

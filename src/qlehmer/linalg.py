@@ -21,7 +21,6 @@ tests run it up to n = 16.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .lehmer import BandedFactors, TriMatrix
 from .poly import ONE, RAT_ONE, RAT_ZERO, ZERO, Poly2, RatFunc, exact_div, ratfunc_eq
@@ -52,13 +51,15 @@ def lu_generic(m: TriMatrix) -> BandedFactors:
                          u_super=tuple(m.superdiag), l_sub=tuple(l_sub))
 
 
-@dataclass(frozen=True)
 class ProductCheckResult:
     """Outcome of an exact L*U == M comparison; falsy when some entry differs,
     with the first failing 0-based (i, j) attached."""
 
-    ok: bool
-    mismatch: tuple[int, int] | None = None
+    __slots__ = ("ok", "mismatch")
+
+    def __init__(self, ok: bool, mismatch: tuple[int, int] | None = None):
+        self.ok = ok
+        self.mismatch = mismatch
 
     def __bool__(self) -> bool:
         return self.ok

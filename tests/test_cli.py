@@ -1,18 +1,21 @@
 """The command-line surface: canonical output, exit codes, JSON round-trips."""
 
-import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from qlehmer import cli
-from qlehmer.lehmer import closed_factors, lehmer_matrix
+import qlehmer
+from qlehmer import cli, lehmer, qcomb, series
+from qlehmer.lehmer import BandedFactors, closed_factors, lehmer_matrix
 from qlehmer.poly import (
     RAT_ONE,
     from_json_obj,
@@ -109,7 +112,7 @@ def test_verify_passes():
 
 
 def test_verify_reports_a_wrong_closed_sum(monkeypatch):
-    monkeypatch.setattr(cli.lehmer, "lambda_sum", lambda n: cli.lehmer.lambda_rec(n) + 1)
+    monkeypatch.setattr(lehmer, "lambda_sum", lambda n: lehmer.lambda_rec(n) + 1)
     code, out = run("verify", "4")
     assert code == 1
     assert out.splitlines()[-1] == "closed sum equals recursion det: FAIL"
@@ -118,9 +121,9 @@ def test_verify_reports_a_wrong_closed_sum(monkeypatch):
 def test_verify_names_the_first_wrong_product_entry(monkeypatch):
     def wrong_factors(n):
         f = closed_factors(n)
-        return dataclasses.replace(f, l_sub=(f.l_sub[0], RAT_ONE, *f.l_sub[2:]))
+        return BandedFactors(f.n, f.u_diag, f.u_super, (f.l_sub[0], RAT_ONE, *f.l_sub[2:]))
 
-    monkeypatch.setattr(cli.lehmer, "closed_factors", wrong_factors)
+    monkeypatch.setattr(lehmer, "closed_factors", wrong_factors)
     code, out = run("verify", "5")
     assert code == 1
     # product_check reports the 0-based (2, 1); verify prints rows and columns from 1.
@@ -132,7 +135,7 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
         raise AssertionError("verify computed past its cap")
 
     for name in ("lehmer_matrix", "closed_factors", "lambda_rec", "lambda_sum"):
-        monkeypatch.setattr(cli.lehmer, name, forbidden)
+        monkeypatch.setattr(lehmer, name, forbidden)
     with pytest.raises(SystemExit) as exc:
         run("verify", str(cli.VERIFY_MAX_N + 1))
     assert exc.value.code == 2
@@ -151,7 +154,7 @@ def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkey
         raise AssertionError(f"{verb} computed past its cap")
 
     for name in ("lambdas", "lambda_rec", "closed_factors", "lehmer_matrix"):
-        monkeypatch.setattr(cli.lehmer, name, forbidden)
+        monkeypatch.setattr(lehmer, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         run(verb, size)
@@ -188,9 +191,9 @@ def test_series_verbs_above_cap_exit_2_without_computing(argv, limited, monkeypa
     def forbidden(*args):
         raise AssertionError(f"{argv[0]} computed past its cap")
 
-    monkeypatch.setattr(cli, "gauss_product", forbidden)
+    monkeypatch.setattr(qcomb, "gauss_product", forbidden)
     for name in ("stabilization_check", "limit_det", "dyck_count"):
-        monkeypatch.setattr(cli.series, name, forbidden)
+        monkeypatch.setattr(series, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         run(*argv)
@@ -342,3 +345,59 @@ def test_stdout_bytes_are_pinned_and_readme_examples_hold():
     assert [command for command, _ in examples] == ["det 3", "lu 3", "verify 8"]
     for command, shown in examples:
         assert run(*command.split()) == (0, shown), command
+
+
+# Run one verb in a fresh interpreter and print, on stderr, the modules it
+# loaded beyond those the bare interpreter had already loaded.
+IMPORT_PROBE = """\
+import sys
+bare = set(sys.modules)
+from qlehmer import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+sys.stderr.write(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+OTHER_MODULES = {f"qlehmer.{name}" for name in ("poly", "qcomb", "lehmer", "linalg", "series")}
+
+
+def loaded_modules(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(qlehmer.__file__).resolve().parent.parent))
+    child = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return set(child.stderr.split())
+
+
+# (argv, modules it must load, modules it must not load)
+FOOTPRINTS = [
+    (["--help"], {"qlehmer.cli"}, OTHER_MODULES | {"json"}),
+    (["qbinom", "6", "3"], {"qlehmer.qcomb"},
+     {"qlehmer.lehmer", "qlehmer.linalg", "qlehmer.series", "json"}),
+    (["qbinom", "6", "3", "--json"], {"qlehmer.qcomb", "json"},
+     {"qlehmer.lehmer", "qlehmer.linalg", "qlehmer.series"}),
+    (["stabilize", "8", "2"], {"qlehmer.series"}, {"qlehmer.linalg", "json"}),
+    (["limit", "--zdeg", "2", "--qdeg", "4"], {"qlehmer.series"}, {"qlehmer.linalg", "json"}),
+    (["dyck", "3", "2"], {"qlehmer.series"}, {"qlehmer.linalg", "json"}),
+    (["det", "5"], {"qlehmer.lehmer"}, {"qlehmer.linalg", "qlehmer.series", "json"}),
+    (["lambda", "5", "--json"], {"qlehmer.lehmer", "json"},
+     {"qlehmer.linalg", "qlehmer.series"}),
+    (["matrix", "3", "--json"], {"qlehmer.lehmer", "json"},
+     {"qlehmer.linalg", "qlehmer.series"}),
+    (["lu", "3"], {"qlehmer.lehmer"}, {"qlehmer.linalg", "qlehmer.series", "json"}),
+    (["limit", "--zdeg", "2", "--qdeg", "4", "--json"], {"qlehmer.series", "json"},
+     {"qlehmer.linalg"}),
+    (["verify", "3"], {"qlehmer.lehmer", "qlehmer.linalg"}, {"qlehmer.series", "json"}),
+]
+
+
+@pytest.mark.parametrize("argv, loads, skips", FOOTPRINTS,
+                         ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS])
+def test_each_verb_imports_only_what_it_runs(argv, loads, skips):
+    # Every command starts a fresh interpreter, so what it imports is paid
+    # on every run; `dataclasses` (which loads `inspect`) on none of them.
+    loaded = loaded_modules(argv)
+    assert loads <= loaded, loads - loaded
+    assert not loaded & (skips | {"dataclasses"}), loaded & (skips | {"dataclasses"})

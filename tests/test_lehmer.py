@@ -6,6 +6,8 @@ import tracemalloc
 import pytest
 
 from qlehmer.lehmer import (
+    BandedFactors,
+    TriMatrix,
     band_monomial,
     closed_factors,
     lambda_rec,
@@ -187,6 +189,53 @@ class TestClosedFactors:
             assert len(num._rows) == len(lam._rows)
             for ev, (lo, step, coeffs) in lam._rows.items():
                 assert num._rows[ev + 1][2] is coeffs, (j, ev)
+
+
+class TestBandShapes:
+    # (n, length of the diagonal, lengths of the two off-diagonal bands)
+    BAD_SHAPES = [(0, 0, 0, 0), (-1, 0, 0, 0), (3, 2, 2, 2), (3, 4, 2, 2),
+                  (3, 3, 1, 2), (3, 3, 2, 3), (1, 1, 1, 0), (1, 1, 0, 1)]
+
+    @pytest.mark.parametrize("n, nd, ns, nl", BAD_SHAPES)
+    def test_trimatrix_rejects_a_wrong_shape(self, n, nd, ns, nl):
+        with pytest.raises(ValueError):
+            TriMatrix(n, (ONE,) * nd, (ONE,) * ns, (ONE,) * nl)
+
+    @pytest.mark.parametrize("n, nd, ns, nl", BAD_SHAPES)
+    def test_factors_reject_a_wrong_shape(self, n, nd, ns, nl):
+        with pytest.raises(ValueError):
+            BandedFactors(n, (RAT_ONE,) * nd, (ONE,) * ns, (RAT_ONE,) * nl)
+
+    def test_right_shapes_are_kept(self):
+        m = TriMatrix(3, (ONE,) * 3, (ONE,) * 2, (ONE,) * 2)
+        assert (m.n, m.diag, m.superdiag, m.subdiag) == (3, (ONE,) * 3, (ONE,) * 2, (ONE,) * 2)
+        f = BandedFactors(1, (RAT_ONE,), (), ())
+        assert (f.n, f.u_diag, f.u_super, f.l_sub) == (1, (RAT_ONE,), (), ())
+
+
+class TestFactorsEquality:
+    def test_equal_entries_compare_equal(self):
+        f = closed_factors(5)
+        assert BandedFactors(f.n, f.u_diag, f.u_super, f.l_sub) == f
+        # Entries are compared as values, not as stored num/den pairs.
+        scaled = tuple(RatFunc(2 * x.num, 2 * x.den) for x in f.u_diag)
+        assert BandedFactors(f.n, scaled, f.u_super, f.l_sub) == f
+
+    @pytest.mark.parametrize("band", ["u_diag", "u_super", "l_sub"])
+    def test_one_changed_entry_compares_unequal(self, band):
+        f = closed_factors(5)
+        for i in range(len(getattr(f, band))):
+            entries = list(getattr(f, band))
+            entries[i] = entries[i] + 1
+            bands = {"u_diag": f.u_diag, "u_super": f.u_super, "l_sub": f.l_sub,
+                     band: tuple(entries)}
+            changed = BandedFactors(f.n, **bands)
+            assert changed != f and f != changed, (band, i)
+
+    def test_unequal_to_other_types(self):
+        f = closed_factors(3)
+        for other in ((f.n, f.u_diag, f.u_super, f.l_sub), lehmer_matrix(3), None, 3):
+            assert f != other and other != f, other
 
 
 class TestDetClosed:

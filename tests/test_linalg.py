@@ -1,12 +1,11 @@
 """Generic LU, exact product verification, and the two determinant oracles."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlehmer.lehmer import (
+    BandedFactors,
     TriMatrix,
     band_monomial,
     closed_factors,
@@ -73,7 +72,7 @@ class TestProductCheck:
         f = closed_factors(4)
         bad_diag = list(f.u_diag)
         bad_diag[2] = bad_diag[2] + 1
-        bad = replace(f, u_diag=tuple(bad_diag))
+        bad = BandedFactors(f.n, tuple(bad_diag), f.u_super, f.l_sub)
         result = product_check(bad, lehmer_matrix(4))
         assert not result
         assert result.mismatch == (2, 2)
@@ -89,11 +88,13 @@ class TestProductCheck:
             for i, entry in enumerate(getattr(f, band)):
                 entries = list(getattr(f, band))
                 entries[i] = entry + 1
-                bad = replace(f, **{band: tuple(entries)})
+                bands = {"u_diag": f.u_diag, "u_super": f.u_super, "l_sub": f.l_sub,
+                         band: tuple(entries)}
+                bad = BandedFactors(f.n, **bands)
                 assert product_check(bad, lehmer_matrix(n)).mismatch == (i + di, i + dj), (band, i)
         # Row-major order: (0, 1) is reported before (1, 0).
-        both = replace(f, u_super=(f.u_super[0] + 1,) + f.u_super[1:],
-                       l_sub=(f.l_sub[0] + 1,) + f.l_sub[1:])
+        both = BandedFactors(f.n, f.u_diag, (f.u_super[0] + 1,) + f.u_super[1:],
+                             (f.l_sub[0] + 1,) + f.l_sub[1:])
         assert product_check(both, lehmer_matrix(n)).mismatch == (0, 1)
 
     @staticmethod
