@@ -7,8 +7,9 @@ codes: 0 success or all checks passed, 1 a verification check failed,
 Each verb imports the modules it runs when it runs, and `json` only for its
 `--json` form: every command starts a fresh interpreter, and for the small
 ones importing the whole package would cost more than the work.  So
-`qlehmer --help` loads no module of the package besides this one, and
-`qbinom` none of `lehmer`, `linalg` or `series`.
+`qlehmer --help` loads no module of the package besides this one,
+`qbinom` none of `lehmer`, `linalg` or `series`, `dyck` only `series`, and
+`limit` neither `lehmer` nor `qcomb`.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ CLOSED_MAX_N = 212
 # 4.7 to 5.2 s and 60 MB with --json.
 LU_MAX_N = 88
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
-# the worst k is n/2, where `qbinom 176 88` takes 4.3 s and 23 MB and
-# `qbinom 200 100` 10.3 to 10.5 s and 25 MB.
+# the worst k is n/2, where `qbinom 176 88` takes 3.4 s and 20 MB and
+# `qbinom 200 100` 9.0 s and 22 MB.
 QBINOM_MAX_N = 200
 # `stabilize`: computes [n-k k]_q like `qbinom`, so the worst k lies between
-# n/4 and n/3; `stabilize 220 62` takes 2.7 s and `stabilize 290 97` 6.8 to
-# 7.2 s and 25 MB.  Above n = 292 the largest quotient coefficients need one
+# n/4 and n/3; `stabilize 220 62` takes 2.4 s and `stabilize 290 97` 5.4 to
+# 5.8 s and 23 MB.  Above n = 292 the largest quotient coefficients need one
 # more width doubling in `exact_div`, so its division runs on digits twice as
 # wide: `stabilize 300 85` takes 18 s.
 STABILIZE_MAX_N = 290

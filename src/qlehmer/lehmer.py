@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .poly import ONE, ZERO, Poly2, RatFunc, q_pow, z_pow
-from .qcomb import gauss_product
 
 
 class TriMatrix:
@@ -90,6 +89,8 @@ class BandedFactors:
 
 def lambda_sum(j: int) -> Poly2:
     """lam(j) from the closed sum, one Gaussian-binomial term per z-power."""
+    from .qcomb import gauss_product
+
     if j < 0:
         raise ValueError("index must be nonnegative")
     total = ZERO

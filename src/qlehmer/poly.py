@@ -23,7 +23,8 @@ zeros.  `Poly2(terms)` and `terms` speak the flat {(eu, ev): coeff} map at
 the boundary.  Python ints are arbitrary precision, so coefficient growth is
 harmless.  Printing uses the graded lexicographic order on (eu + ev, eu, ev),
 which is the same order as on (q + z, q, z); `_view` sorts one int key per
-term to get it.
+term to get it when there is more than one row, and reads a single row in
+its stored order.
 
 Instances are immutable by convention and no row is changed once built, so
 results share rows, and the coefficient tuples inside them, with their
@@ -63,11 +64,10 @@ the denominators differ (see `ratfunc_eq`).
 
 from __future__ import annotations
 
-import re
-from itertools import compress
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import compress, repeat
 from math import gcd, isqrt
-from operator import add, neg, sub
-from typing import Iterable, Iterator, Mapping
+from operator import add, neg, rshift, sub
 
 
 Exponents = tuple[int, int]
@@ -374,26 +374,41 @@ def _pack(rows: Rows, low: Exponents, step: Exponents, row: int, nrows: int,
 
     The reduced exponent pair (i, k) = ((eu - low_u) / su, (ev - low_v) / sv)
     with k < nrows goes to the power X**(k * row + i), so a packed row of
-    `row` digits holds one row of the map.  A coefficient may span `parts`
-    digits; terms whose powers differ mod `parts` go to different layers, so
-    no two terms of a layer overlap, and the layers are summed.
+    `row` digits holds one row of the map.  Each digit is written biased by
+    half its range, so a row is one `bytes.join` of `to_bytes` over its
+    coefficients plus that bias (a row whose step is a multiple of su is
+    first spread to the grid), and the bias of all nrows * row digits is
+    subtracted once.  A coefficient c wider than a digit is split as
+    c + half = low + X * carry with 0 <= low < X: `low` is the digit, and
+    the carries are packed the same way one digit up, layer after layer
+    until none is left.
     """
     (lu, lv), (su, sv) = low, step
-    parts = (_max_abs(rows).bit_length() - 1) // (8 * width) + 1
-    span = parts * width
-    pos = [bytearray((nrows * row + parts) * width) for _ in range(parts)]
-    neg = [bytearray((nrows * row + parts) * width) for _ in range(parts)]
-    for ev, r in rows.items():
-        base = (ev - lv) // sv * row
-        for eu, c in _pairs(r):
-            p = base + (eu - lu) // su
-            at = p * width
-            if c > 0:
-                pos[p % parts][at:at + span] = c.to_bytes(span, "little")
-            else:
-                neg[p % parts][at:at + span] = (-c).to_bytes(span, "little")
-    return sum(int.from_bytes(p, "little") - int.from_bytes(n, "little")
-               for p, n in zip(pos, neg))
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
+    bias = int.from_bytes(zero * (nrows * row), "little")
+    to_bytes, lengths, orders = int.to_bytes, repeat(width), repeat("little")
+    value = up = 0
+    while rows:
+        data = bytearray(zero * (nrows * row))
+        wide = _max_abs(rows) >= half
+        carries = {}
+        for ev, (lo, rstep, coeffs) in rows.items():
+            if rstep != su and len(coeffs) > 1:
+                coeffs = _spread(coeffs, rstep // su)
+            biased = map(half.__add__, coeffs)
+            if wide:
+                biased = list(biased)
+                carry = list(map(rshift, biased, repeat(bits)))
+                if any(carry):
+                    carries[ev] = (lo, su, carry)
+                biased = map((2 * half - 1).__and__, biased)  # c + half mod X
+            at = ((ev - lv) // sv * row + (lo - lu) // su) * width
+            data[at:at + len(coeffs) * width] = b"".join(map(to_bytes, biased, lengths, orders))
+        value += (int.from_bytes(data, "little") - bias) << up
+        rows, up = carries, up + bits
+    return value
 
 
 def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
@@ -403,9 +418,10 @@ def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
     Adding half the digit range to every digit makes each one nonnegative,
     so negative digits need no borrow.  Each packed row is one z-row.  Its
     bytes XOR the biased zero row mark its nonzero digits, so two bit
-    lengths give its first and last one, and one comprehension over that
-    slice decodes the row.  Returns None when the digits of `value` do not
-    fit `nrows` rows, or a nonzero one lies in a column >= `cols` of its row.
+    lengths give its first and last one, and a chain of `map` calls over
+    that slice (cut it into digits, read each, remove the bias) decodes the
+    row.  Returns None when the digits of `value` do not fit `nrows` rows,
+    or a nonzero one lies in a column >= `cols` of its row.
     """
     (lu, lv), (su, sv) = low, step
     bits = 8 * width
@@ -416,7 +432,7 @@ def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
         return None
     data = biased.to_bytes(nrows * row * width, "little")
     zero_row = int.from_bytes(zero * row, "little")
-    from_bytes = int.from_bytes
+    from_bytes, orders, unbias = int.from_bytes, repeat("little"), (-half).__add__
     out: Rows = {}
     size = row * width
     for k in range(nrows):
@@ -428,10 +444,11 @@ def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
         last = (mark.bit_length() - 1) // bits
         if last >= cols:
             return None
-        chunk = data[at + first * width:at + (last + 1) * width]
-        coeffs = [from_bytes(chunk[i:i + width], "little") - half
-                  for i in range(0, len(chunk), width)]
-        out[lv + k * sv] = _row(lu + first * su, su, coeffs)
+        start, stop = at + first * width, at + (last + 1) * width
+        digits = map(data.__getitem__, map(slice, range(start, stop, width),
+                                           range(start + width, stop + width, width)))
+        out[lv + k * sv] = _row(lu + first * su, su,
+                                list(map(unbias, map(from_bytes, digits, orders))))
     return out
 
 
@@ -696,9 +713,19 @@ def _view(p: Poly2) -> tuple[bool, Iterator[tuple[int, int, int]]]:
     (u + v, u), which fixes v, and so as (q + z, q, z) in the (q, z) view.
     A row's keys, v * span + u * (span + 1), form one range, and `compress`
     keeps those of its nonzero coefficients.  Each coefficient is read back
-    from its row as it is yielded.
+    from its row as it is yielded.  A one-row polynomial, such as every
+    q-polynomial, is already in order: its terms are zipped from its row
+    with no key and no sort.
     """
     rows = p._rows
+    qz = all(ev % 2 == 0 and row[0] % 2 == 0 and _stride(row) % 2 == 0
+             for ev, row in rows.items())
+    shift = 1 if qz else 0
+    if len(rows) == 1:
+        (ev, (lo, step, coeffs)), = rows.items()
+        lo, step = lo >> shift, step >> shift or 1
+        return qz, zip(compress(range(lo, lo + len(coeffs) * step, step), coeffs),
+                       repeat(ev >> shift), filter(None, coeffs))
     span = 1 + max((lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values()),
                    default=0)
     keys: list[int] = []
@@ -707,9 +734,6 @@ def _view(p: Poly2) -> tuple[bool, Iterator[tuple[int, int, int]]]:
         keys += compress(range(start, start + len(coeffs) * step * (span + 1),
                                step * (span + 1)), coeffs)
     keys.sort()
-    qz = all(ev % 2 == 0 and row[0] % 2 == 0 and _stride(row) % 2 == 0
-             for ev, row in rows.items())
-    shift = 1 if qz else 0
 
     def terms():
         for key in keys:
@@ -766,7 +790,7 @@ def to_json_obj(p: Poly2) -> dict:
     return {"vars": "qz" if qz else "uv", "terms": [[b, a, str(c)] for a, b, c in terms]}
 
 
-_COEFF_TEXT = re.compile(r"-?[1-9][0-9]*")
+_COEFF_TEXT = r"-?[1-9][0-9]*"  # compiled on first use, by `re`'s own cache
 
 
 def from_json_obj(obj: Mapping) -> Poly2:
@@ -778,6 +802,8 @@ def from_json_obj(obj: Mapping) -> Poly2:
     coefficients as canonical decimal strings, no exponent pair repeated.
     Anything else raises ValueError.
     """
+    import re
+
     if not isinstance(obj, Mapping) or set(obj) != {"vars", "terms"}:
         raise ValueError("expected an object with exactly the keys 'vars' and 'terms'")
     variables, triples = obj["vars"], obj["terms"]
@@ -793,7 +819,7 @@ def from_json_obj(obj: Mapping) -> Poly2:
         second, first, coeff = triple
         if type(first) is not int or type(second) is not int:
             raise ValueError(f"exponents of {triple!r} must be ints")
-        if not isinstance(coeff, str) or not _COEFF_TEXT.fullmatch(coeff):
+        if not isinstance(coeff, str) or not re.fullmatch(_COEFF_TEXT, coeff):
             raise ValueError(f"coefficient of {triple!r} must be a nonzero decimal string")
         e = (scale * first, scale * second)
         if e in out:

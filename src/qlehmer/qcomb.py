@@ -18,15 +18,25 @@ memo: every call builds only the factors it needs.
 
 from __future__ import annotations
 
-from .poly import ONE, ZERO, Poly2, exact_div, q_pow
+from operator import sub
+
+from .poly import ONE, ZERO, Poly2, exact_div, q_dense, q_pow
 
 
 def _run_product(lo: int, hi: int) -> Poly2:
-    """(1-q^lo)(1-q^(lo+1))...(1-q^hi); 1 when hi < lo."""
-    value = ONE
+    """(1-q^lo)(1-q^(lo+1))...(1-q^hi); 1 when hi < lo.
+
+    The product runs on one dense list of q-coefficients: times (1 - q^j)
+    is b[d] = a[d] - a[d - j], one `map` over the list shifted by j.
+    """
+    if hi < lo:
+        return ONE
+    coeffs = [1]
     for j in range(lo, hi + 1):
-        value = value - value * q_pow(j)  # times (1 - q^j): one shift, one subtraction
-    return value
+        shifted = coeffs + [0] * j
+        shifted[j:] = map(sub, shifted[j:], coeffs)
+        coeffs = shifted
+    return q_dense(coeffs, 0)
 
 
 def poch_qq(k: int) -> Poly2:

@@ -24,6 +24,11 @@ continued-fraction theory of Flajolet (1980), "Combinatorial aspects of
 continued fractions": the height-h truncation of 1/(1 - z/(1 - z/(1 - ...)))
 is a ratio of consecutive lam(., q=1) polynomials.  `dyck_gf_check` tests it
 against the exhaustive DP oracle `dyck_count`.
+
+Each function imports the package modules it uses when it runs, since every
+CLI command starts a fresh interpreter: `dyck_count` loads none of them,
+`limit_det` only `poly`, and `stabilization_check` `poly` and `qcomb` but
+not `lehmer`.  So `Poly2` in the annotations names `qlehmer.poly.Poly2`.
 """
 
 from __future__ import annotations
@@ -31,10 +36,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import accumulate
 from operator import neg, sub
-
-from .lehmer import lambdas
-from .poly import ONE, ZERO, Poly2, eval_u1, q_dense, q_poly, qz_terms
-from .qcomb import gauss_product, poch_qq
 
 
 def _divide_by_one_minus(a: list[int], part: int) -> None:
@@ -61,6 +62,9 @@ def invert_poch(k: int, trunc: int) -> Poly2:
     The result is certified on the spot against the independently built
     product `poch_qq(k)`: the two must multiply to 1 modulo q^(trunc+1).
     """
+    from .poly import q_dense, qz_terms
+    from .qcomb import poch_qq
+
     if k < 0 or trunc < 0:
         raise ValueError("arguments must be nonnegative")
     inv = [1] + [0] * trunc
@@ -89,6 +93,8 @@ def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
     inv_k * (q;q)_k == inv_(k-1) * (q;q)_(k-1) == 1 modulo q^(D_k + 1),
     since D_k never grows with k; a failed step raises ArithmeticError.
     """
+    from .poly import ONE, ZERO, q_dense
+
     if z_trunc < 0 or q_trunc < 0:
         raise ValueError("truncation orders must be nonnegative")
     coeffs = [ONE]
@@ -112,6 +118,8 @@ def series_from_poly(p: Poly2, z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
     """Truncate an even-exponent polynomial (e.g. a finite determinant) at
     (z_trunc, q_trunc), as `limit_det` does: the tuple of its q-polynomial
     coefficients of z^0..z^z_trunc, each through q-degree q_trunc."""
+    from .poly import q_poly, qz_terms
+
     if z_trunc < 0 or q_trunc < 0:
         raise ValueError("truncation orders must be nonnegative")
     buckets: list[dict[int, int]] = [{} for _ in range(z_trunc + 1)]
@@ -131,6 +139,9 @@ def stabilization_check(n: int, k: int) -> int | None:
     [n-k k].  For k = 0 the two sides are identically 1 and no finite
     largest d exists; None encodes that exact agreement.
     """
+    from .poly import qz_terms
+    from .qcomb import gauss_product
+
     if k < 0:
         raise ValueError("z-power must be nonnegative")
     if 2 * k > n:
@@ -177,6 +188,8 @@ def dyck_count(m: int, h: int) -> int:
 
 def _z_coeff_list(p: Poly2, upto: int) -> list[int]:
     """Dense z-coefficient list, through z^upto, of a polynomial in z alone."""
+    from .poly import qz_terms
+
     out = [0] * (upto + 1)
     for (dq, dz), c in qz_terms(p):
         if dq:
@@ -189,6 +202,9 @@ def _z_coeff_list(p: Poly2, upto: int) -> list[int]:
 def dyck_gf_check(h: int, m_max: int) -> bool:
     """True iff the z-expansion of lam(h)/lam(h+1) at q = 1 matches the DP
     path counts dyck_count(m, h) for every half-length m <= m_max."""
+    from .lehmer import lambdas
+    from .poly import eval_u1
+
     if h < 0 or m_max < 0:
         raise ValueError("arguments must be nonnegative")
     lam_h, lam_next = deque(lambdas(h + 1), maxlen=2)

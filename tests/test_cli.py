@@ -378,17 +378,21 @@ FOOTPRINTS = [
      {"qlehmer.lehmer", "qlehmer.linalg", "qlehmer.series", "json"}),
     (["qbinom", "6", "3", "--json"], {"qlehmer.qcomb", "json"},
      {"qlehmer.lehmer", "qlehmer.linalg", "qlehmer.series"}),
-    (["stabilize", "8", "2"], {"qlehmer.series"}, {"qlehmer.linalg", "json"}),
-    (["limit", "--zdeg", "2", "--qdeg", "4"], {"qlehmer.series"}, {"qlehmer.linalg", "json"}),
-    (["dyck", "3", "2"], {"qlehmer.series"}, {"qlehmer.linalg", "json"}),
-    (["det", "5"], {"qlehmer.lehmer"}, {"qlehmer.linalg", "qlehmer.series", "json"}),
+    (["stabilize", "8", "2"], {"qlehmer.series", "qlehmer.qcomb"},
+     {"qlehmer.lehmer", "qlehmer.linalg", "json"}),
+    (["limit", "--zdeg", "2", "--qdeg", "4"], {"qlehmer.series", "qlehmer.poly"},
+     {"qlehmer.lehmer", "qlehmer.qcomb", "qlehmer.linalg", "json"}),
+    (["dyck", "3", "2"], {"qlehmer.series"}, OTHER_MODULES - {"qlehmer.series"} | {"json"}),
+    (["det", "5"], {"qlehmer.lehmer"},
+     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
     (["lambda", "5", "--json"], {"qlehmer.lehmer", "json"},
-     {"qlehmer.linalg", "qlehmer.series"}),
+     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series"}),
     (["matrix", "3", "--json"], {"qlehmer.lehmer", "json"},
-     {"qlehmer.linalg", "qlehmer.series"}),
-    (["lu", "3"], {"qlehmer.lehmer"}, {"qlehmer.linalg", "qlehmer.series", "json"}),
+     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series"}),
+    (["lu", "3"], {"qlehmer.lehmer"},
+     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
     (["limit", "--zdeg", "2", "--qdeg", "4", "--json"], {"qlehmer.series", "json"},
-     {"qlehmer.linalg"}),
+     {"qlehmer.lehmer", "qlehmer.qcomb", "qlehmer.linalg"}),
     (["verify", "3"], {"qlehmer.lehmer", "qlehmer.linalg"}, {"qlehmer.series", "json"}),
 ]
 

@@ -536,6 +536,53 @@ def test_sparse_operands_take_the_dict_loop(monkeypatch):
         lam[21] * lam[22]
 
 
+# -- packing: the row map at X = 2**(8 * width) --------------------------------
+
+
+@st.composite
+def packings(draw):
+    """A polynomial and a packing layout (low, step, row, nrows, width) that
+    holds it.  Cells are drawn on the layout's own grid, so a row whose
+    cells are 3 apart is stored at step 3 * su and packed spread to su, and
+    a sparse draw leaves one-term rows.  Coefficients run from single digits
+    of either sign, through the edges of a digit's balanced range, to
+    several digits wide."""
+    width = draw(st.integers(1, 9))
+    low = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    step = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    row, nrows = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    half = 1 << (8 * width - 1)
+    edges = st.builds(lambda sign, digits, delta: sign * ((half << (8 * width * digits)) + delta),
+                      st.sampled_from([1, -1]), st.integers(0, 2), st.integers(-1, 1))
+    coeffs = st.one_of(st.integers(-9, 9), edges, st.integers(-2**250, 2**250)).filter(bool)
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, row - 1), st.integers(0, nrows - 1)),
+                                 coeffs, min_size=1, max_size=20))
+    terms = {(low[0] + step[0] * i, low[1] + step[1] * k): c for (i, k), c in cells.items()}
+    return Poly2(terms), (low, step, row, nrows, width), cells
+
+
+# A coefficient of 9510 bits spans 1189 one-byte digits, more layers of
+# carries than Python's default recursion limit.
+@example((Poly2({(0, 0): 3**6000, (1, 0): -5}), ((0, 0), (1, 1), 2, 1, 1),
+          {(0, 0): 3**6000, (1, 0): -5}))
+@given(packings())
+def test_pack_is_the_sum_of_terms_at_x(drawn):
+    p, (low, step, row, nrows, width), cells = drawn
+    direct = sum(c << (8 * width * (k * row + i)) for (i, k), c in cells.items())
+    assert poly._pack(p._rows, low, step, row, nrows, width) == direct
+
+
+@given(packings())
+def test_unpack_inverts_pack_where_the_digits_hold(drawn):
+    p, layout, _ = drawn
+    low, step, row, nrows, width = layout
+    # Balanced digits hold -2**(8w-1) <= c < 2**(8w-1); widen until they do.
+    while not all(-(1 << (8 * width - 1)) <= c < 1 << (8 * width - 1) for c in p.terms.values()):
+        width += 1
+    packed = poly._pack(p._rows, low, step, row, nrows, width)
+    assert poly._unpack(packed, low, step, row, nrows, row, width) == p._rows
+
+
 # -- exact division, packed in the multiply's layout ---------------------------
 
 
@@ -804,13 +851,29 @@ def printable_term_maps(draw):
     return {**terms, odd: draw(text_coeffs)}
 
 
+@st.composite
+def one_row_term_maps(draw):
+    """One row, which `_view` prints in its stored order with no sort: a
+    v-exponent, a low, a step of 1 to 4 and up to 8 terms with zeros between
+    them, all exponents even or not; constants and one-term rows included."""
+    ev, lo, step = draw(st.integers(0, 5)), draw(st.integers(0, 9)), draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.one_of(st.just(0), text_coeffs), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        ev, lo, step = 2 * ev, 2 * lo, 2 * step
+    return {(lo + i * step, ev): c for i, c in enumerate(coeffs) if c}
+
+
 @example({})
 @example({(0, 0): 1})
 @example({(0, 0): -1})
 @example({(0, 0): -3, (2, 0): 1, (0, 2): -1})
 @example({(1, 0): -1, (0, 1): 1})
 @example({(2, 2): -1, (4, 0): -5})
-@given(printable_term_maps())
+@example({(6, 4): -1})
+@example({(3, 1): 1})
+@example({(4, 2): 2, (12, 2): -1, (20, 2): 5})
+@example({(1, 3): 1, (4, 3): -1, (7, 3): 2})
+@given(st.one_of(printable_term_maps(), one_row_term_maps()))
 def test_text_and_json_follow_the_documented_grammar(terms):
     p = Poly2(terms)
     assert to_text(p) == reference_text(terms)

@@ -31,6 +31,17 @@ class TestPochhammer:
             poch_qq(-1)
 
 
+@pytest.mark.parametrize("lo", range(1, 9))
+def test_run_product_matches_the_product_of_its_factors(lo):
+    # hi runs from below lo (the empty product) to lo + 12.
+    expected = ONE
+    for hi in range(lo - 2, lo + 13):
+        if hi >= lo:
+            expected = expected * (ONE - q_pow(hi))
+        # Row-map equality: the dense list is stored in canonical form.
+        assert qcomb._run_product(lo, hi) == expected, (lo, hi)
+
+
 class TestGaussProduct:
     def test_4_choose_2(self):
         assert gauss_product(4, 2) == q_poly([1, 1, 2, 1, 1])

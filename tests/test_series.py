@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qlehmer import poly, series
+from qlehmer import poly, qcomb, series
 from qlehmer.lehmer import lambda_rec
 from qlehmer.poly import ONE, Poly2, q_pow, qz_terms
 from qlehmer.qcomb import poch_qq
@@ -45,8 +45,9 @@ class TestInvertPoch:
     def test_certificate_rejects_a_wrong_product(self, monkeypatch):
         # With (q;q)_k replaced by (q;q)_k (1 - q^(k+1)), the product with the
         # true inverse is 1 - q^(k+1), so every trunc > k must raise.
-        real = series.poch_qq
-        monkeypatch.setattr(series, "poch_qq", lambda k: real(k) * (ONE - q_pow(k + 1)))
+        # `invert_poch` imports `poch_qq` from `qcomb` when it runs.
+        real = qcomb.poch_qq
+        monkeypatch.setattr(qcomb, "poch_qq", lambda k: real(k) * (ONE - q_pow(k + 1)))
         for k in range(1, 6):
             with pytest.raises(ArithmeticError):
                 invert_poch(k, 2 * k + 1)
