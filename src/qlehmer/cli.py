@@ -61,16 +61,16 @@ LU_MAX_N = 88
 # `qbinom 200 100` 9.0 s and 22 MB.
 QBINOM_MAX_N = 200
 # `stabilize`: computes [n-k k]_q like `qbinom`, so the worst k lies between
-# n/4 and n/3; `stabilize 220 62` takes 2.4 s and `stabilize 290 97` 5.4 to
-# 5.8 s and 23 MB.  Above n = 292 the largest quotient coefficients need one
+# n/4 and n/3; `stabilize 220 62` takes 2.4 s and `stabilize 290 97` 4.9 to
+# 5.0 s and 22 MB.  Above n = 292 the largest quotient coefficients need one
 # more width doubling in `exact_div`, so its division runs on digits twice as
 # wide: `stabilize 300 85` takes 18 s.
 STABILIZE_MAX_N = 290
 # `limit`: one stride pass per z-power over at most qdeg + 1 partition
-# counts, and z^k is zero once k(k-1) > qdeg, so printing dominates;
-# `limit --zdeg 60 --qdeg 10000` takes 0.6 s and 90 MB in text form, which
-# is printed as one 23.5 MB string, and 0.7 s and 49 MB with --json, which
-# is written in pieces (214 MB when it was one `json.dumps` string).
+# counts, and z^k is zero once k(k-1) > qdeg, so printing dominates.  Both
+# forms are written one coefficient at a time: `limit --zdeg 60 --qdeg
+# 10000` takes 0.4 to 0.5 s and 45 MB in text form (23.5 MB of output) and
+# 0.6 to 0.7 s and 49 MB with --json.
 LIMIT_MAX_ZDEG = 60
 LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
@@ -142,13 +142,6 @@ def _print_bands(n: int, bands, as_json: bool) -> None:
             sys.stdout.write("\n")
 
 
-def _cmd_lambda(args) -> int:
-    from . import lehmer
-
-    _print_poly(lehmer.lambda_rec(args.j), args.json)
-    return 0
-
-
 def _cmd_matrix(args) -> int:
     from . import lehmer
     from .poly import to_json_obj
@@ -160,6 +153,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    """`det n` and `lambda j`: lam(n), which is det M(n) for n >= 1."""
     from . import lehmer
 
     _print_poly(lehmer.lambda_rec(args.n), args.json)
@@ -197,7 +191,7 @@ def _cmd_limit(args) -> int:
         _write_joined(json.dumps(to_json_obj(c)) for c in coeffs)
         sys.stdout.write("]}\n")
     else:
-        print("\n".join(f"z^{k}: {to_text(c)}" for k, c in enumerate(coeffs)))
+        sys.stdout.writelines(f"z^{k}: {to_text(c)}\n" for k, c in enumerate(coeffs))
     return 0
 
 
@@ -252,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_json(sub.add_parser("lambda", help="the determinant polynomial lam(j)"))
-    p.add_argument("j", type=_capped(_nonneg_int, CLOSED_MAX_N, "lambda", "n",
-                                     "its time grows about as n^4"))
-    p.set_defaults(func=_cmd_lambda)
+    p.add_argument("n", metavar="j", type=_capped(_nonneg_int, CLOSED_MAX_N, "lambda", "n",
+                                                  "its time grows about as n^4"))
+    p.set_defaults(func=_cmd_det)
 
     p = with_json(sub.add_parser("matrix", help="the n x n Lehmer matrix bands"))
     p.add_argument("n", type=_capped(_positive_int, MATRIX_MAX_N, "matrix", "n",

@@ -95,9 +95,8 @@ def lambda_sum(j: int) -> Poly2:
         raise ValueError("index must be nonnegative")
     total = ZERO
     for k in range(j // 2 + 1):
-        # (-1)^k q^(k(k-1)) z^k as one monomial in (u, v)
-        term = Poly2.monomial((-1) ** k, 2 * k * (k - 1), 2 * k)
-        total = total + gauss_product(j - k, k) * term
+        term = gauss_product(j - k, k) * (q_pow(k * (k - 1)) * z_pow(k))
+        total = total - term if k % 2 else total + term
     return total
 
 

@@ -6,15 +6,12 @@ As n grows, det M(n) stabilizes coefficient-wise to the q-series
 
 represented here, truncated at z-degree K and q-degree D, as the tuple of
 its K + 1 coefficients of z^0..z^K, each a q-polynomial of degree at most D
-in the half-power carrier of `qlehmer.poly`.  `limit_det` builds the
-inverses 1/(q;q)_k for k = 0..K on one running list, one stride pass per
-k, and certifies each step: inv_k * (1 - q^k) == inv_(k-1) modulo the
-q-degree kept, so by induction from inv_0 = 1 each inv_k * (q;q)_k is 1
-there.  `stabilization_check`
-measures, for one z-power at a time, through which q-degree the finite
-determinant already agrees with the limit; the answer is exactly n - 2k for
-k >= 1, because [n-k k]_q = (q^(n-2k+1); q)_k / (q;q)_k and the numerator is
-1 - q^(n-2k+1) + O(q^(n-2k+2)).
+in the half-power carrier of `qlehmer.poly`.  Every inverse 1/(q;q)_k is
+built by certified stride steps, one per part (`_certified_step`).
+`stabilization_check` measures, for one z-power at a time, through which
+q-degree the finite determinant already agrees with the limit; the answer
+is exactly n - 2k for k >= 1, because [n-k k]_q = (q^(n-2k+1); q)_k /
+(q;q)_k and the numerator is 1 - q^(n-2k+1) + O(q^(n-2k+2)).
 
 At q = 1 the pivot ratios become the generating functions of Dyck paths of
 bounded height: the series expansion of lam(h)/lam(h+1) in z counts paths of
@@ -27,8 +24,8 @@ against the exhaustive DP oracle `dyck_count`.
 
 Each function imports the package modules it uses when it runs, since every
 CLI command starts a fresh interpreter: `dyck_count` loads none of them,
-`limit_det` only `poly`, and `stabilization_check` `poly` and `qcomb` but
-not `lehmer`.  So `Poly2` in the annotations names `qlehmer.poly.Poly2`.
+`limit_det` and `invert_poch` only `poly`, `stabilization_check` also
+`qcomb`.  So `Poly2` in the annotations names `qlehmer.poly.Poly2`.
 """
 
 from __future__ import annotations
@@ -51,31 +48,36 @@ def _divide_by_one_minus(a: list[int], part: int) -> None:
         a[r::part] = accumulate(a[r::part])
 
 
+def _certified_step(prev: list[int], part: int) -> list[int]:
+    """prev / (1 - q^part) modulo q^len(prev): one stride pass on a copy,
+    certified by multiplying back before it is returned, inv[d] == prev[d]
+    for d < part and inv[d] - inv[d - part] == prev[d] above, or else
+    ArithmeticError.  Chained from [1, 0, ...], the steps for parts 1..k
+    prove by induction that the list times (q;q)_k is 1 modulo q^len, as
+    long as it never grows between steps.
+    """
+    inv = prev.copy()
+    _divide_by_one_minus(inv, part)
+    if inv[:part] != prev[:part] or list(map(sub, inv[part:], inv)) != prev[part:]:
+        raise ArithmeticError(f"series inversion step failed certification for k={part}")
+    return inv
+
+
 def invert_poch(k: int, trunc: int) -> Poly2:
     """Power-series inverse of (q;q)_k truncated at q-degree `trunc`.
 
     1/(q;q)_k is the product over parts i <= k of 1/(1 - q^i) =
     1 + q^i + q^(2i) + ..., the generating function of partitions into
-    parts <= k.  One stride pass per part (`_divide_by_one_minus`) builds
-    the inverse in O(k*trunc) steps without reading (q;q)_k.
-
-    The result is certified on the spot against the independently built
-    product `poch_qq(k)`: the two must multiply to 1 modulo q^(trunc+1).
+    parts <= k: one certified step per part, without reading (q;q)_k.
     """
-    from .poly import q_dense, qz_terms
-    from .qcomb import poch_qq
+    from .poly import q_dense
 
     if k < 0 or trunc < 0:
         raise ValueError("arguments must be nonnegative")
     inv = [1] + [0] * trunc
     for part in range(1, k + 1):
-        _divide_by_one_minus(inv, part)
-    result = q_dense(inv, 0)
-    check = result * poch_qq(k)
-    residue = {e: c for e, c in qz_terms(check) if e[0] <= trunc}
-    if residue != {(0, 0): 1}:
-        raise ArithmeticError(f"series inversion failed certification for k={k}")
-    return result
+        inv = _certified_step(inv, part)
+    return q_dense(inv, 0)
 
 
 def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
@@ -83,15 +85,9 @@ def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
     its coefficients of z^0..z^z_trunc: the z^k one is (-1)^k q^(k(k-1)) /
     (q;q)_k through q-degree q_trunc, and zero once k(k-1) > q_trunc.
 
-    One list of coefficients runs through the z-powers: inv_0 = 1, and
-    inv_k = inv_(k-1) / (1 - q^k) is one stride pass, kept modulo
-    q^(D_k + 1) with D_k = q_trunc - k(k-1), the q-degrees that z^k needs.
-    Each step is certified before it is used, by one more pass that checks
-    inv_k * (1 - q^k) == inv_(k-1) modulo q^(D_k + 1): inv_k[d] equals
-    inv_(k-1)[d] for d < k, and inv_k[d] - inv_k[d - k] does for
-    k <= d <= D_k.  Chained from inv_0 = 1, these give by induction
-    inv_k * (q;q)_k == inv_(k-1) * (q;q)_(k-1) == 1 modulo q^(D_k + 1),
-    since D_k never grows with k; a failed step raises ArithmeticError.
+    One list runs through the z-powers: inv_k = 1/(q;q)_k is one certified
+    step from inv_(k-1), cut to the q_trunc - k(k-1) + 1 coefficients that
+    z^k needs.
     """
     from .poly import ONE, ZERO, q_dense
 
@@ -104,11 +100,7 @@ def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
         if shift > q_trunc:
             coeffs.append(ZERO)
             continue
-        prev = inv[:q_trunc - shift + 1]
-        inv = prev.copy()
-        _divide_by_one_minus(inv, k)
-        if inv[:k] != prev[:k] or list(map(sub, inv[k:], inv)) != prev[k:]:
-            raise ArithmeticError(f"series inversion step failed certification for k={k}")
+        inv = _certified_step(inv[:q_trunc - shift + 1], k)
         # Partitions of d into parts <= k exist for every d, so no zero.
         coeffs.append(q_dense(list(map(neg, inv)) if k % 2 else inv, shift))
     return tuple(coeffs)

@@ -169,10 +169,10 @@ def test_closed_caps_admit_the_benchmarked_sizes():
     parser = cli.build_parser()
     for n in (96, 112, 128, cli.CLOSED_MAX_N):
         assert parser.parse_args(["det", str(n), "--json"]).n == n
-        assert parser.parse_args(["lambda", str(n)]).j == n
+        assert parser.parse_args(["lambda", str(n)]).n == n
     assert parser.parse_args(["lu", str(cli.LU_MAX_N)]).n == cli.LU_MAX_N
     assert parser.parse_args(["matrix", str(cli.MATRIX_MAX_N), "--json"]).n == cli.MATRIX_MAX_N
-    assert parser.parse_args(["lambda", "0"]).j == 0
+    assert parser.parse_args(["lambda", "0"]).n == 0
 
 
 @pytest.mark.parametrize("argv, limited", [

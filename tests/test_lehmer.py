@@ -17,14 +17,17 @@ from qlehmer.lehmer import (
 )
 from qlehmer.poly import (
     ONE,
+    ZERO,
     Poly2,
     RatFunc,
     eval_qz,
+    q_poly,
     q_pow,
     qz_terms,
     ratfunc_eq,
     z_pow,
 )
+from qlehmer.qcomb import gauss_pascal
 
 RAT_ONE = RatFunc(ONE)
 
@@ -127,6 +130,48 @@ def test_fibonacci_specialization_up_to_20():
     fam = tuple(lambdas(20))
     for j in range(21):
         assert eval_qz(fam[j], 1, -1) == fib[j + 1], j
+
+
+def lam_at_minus_q_power(lam, e):
+    """lam(q, z) at z = -q^e, as a polynomial in q."""
+    out = {}
+    for (dq, dz), c in qz_terms(lam):
+        out[dq + e * dz] = out.get(dq + e * dz, 0) + (-1) ** dz * c
+    return q_poly(out.items())
+
+
+def schur_sum(n, a, top):
+    """Sum over all integers j of (-1)^j q^(j(5j+a)/2) [top, floor((n-5j)/2)]_q,
+    the Gaussian binomials from q-Pascal.  A term vanishes unless
+    0 <= floor((n-5j)/2) <= top, and top >= n, so -(n+1)/5 <= j <= n/5."""
+    total = ZERO
+    for j in range(-(n // 5) - 1, n // 5 + 1):
+        term = q_pow(j * (5 * j + a) // 2) * gauss_pascal(top, (n - 5 * j) // 2)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+# Schur's polynomial identities (Andrews, "A polynomial identity which implies
+# the Rogers-Ramanujan identities", Scripta Math. 28, 1970), as
+# (z = -q^e, a, top - n): at z = -q, lam(n) = sum_j (-1)^j q^(j(5j+1)/2)
+# [n, floor((n-5j)/2)]_q; at z = -q^2 the same with j(5j+3)/2 and [n+1, .].
+SCHUR = [(1, 1, 0), (2, 3, 1)]
+
+
+@pytest.mark.parametrize("e, a, extra", SCHUR, ids=["z=-q", "z=-q^2"])
+def test_schur_identities_up_to_30(e, a, extra):
+    # Neither the recursion's nor the closed sum's algebra enters the right side.
+    for n, lam in enumerate(lambdas(30)):
+        assert lam_at_minus_q_power(lam, e) == schur_sum(n, a, n + extra), n
+
+
+@pytest.mark.parametrize("e, a, extra", SCHUR, ids=["z=-q", "z=-q^2"])
+def test_schur_identities_reject_one_changed_coefficient(e, a, extra):
+    for n in (2, 17, 30):
+        lam, right = lambda_rec(n), schur_sum(n, a, n + extra)
+        for (dq, dz), _ in qz_terms(lam):
+            wrong = lam + q_pow(dq) * z_pow(dz)
+            assert lam_at_minus_q_power(wrong, e) != right, (n, dq, dz)
 
 
 class TestLehmerMatrix:

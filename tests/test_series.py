@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from qlehmer import poly, qcomb, series
+from qlehmer import poly, series
 from qlehmer.lehmer import lambda_rec
-from qlehmer.poly import ONE, Poly2, q_pow, qz_terms
+from qlehmer.poly import ONE, Poly2, qz_terms
 from qlehmer.qcomb import poch_qq
 from qlehmer.series import (
     dyck_count,
@@ -43,14 +43,19 @@ class TestInvertPoch:
                 assert low == ONE, (k, trunc)
 
     def test_certificate_rejects_a_wrong_product(self, monkeypatch):
-        # With (q;q)_k replaced by (q;q)_k (1 - q^(k+1)), the product with the
-        # true inverse is 1 - q^(k+1), so every trunc > k must raise.
-        # `invert_poch` imports `poch_qq` from `qcomb` when it runs.
-        real = qcomb.poch_qq
-        monkeypatch.setattr(qcomb, "poch_qq", lambda k: real(k) * (ONE - q_pow(k + 1)))
-        for k in range(1, 6):
+        # One coefficient of one stride pass off by one, below the part (the
+        # check inv[d] == prev[d]) or at or above it (the check on
+        # inv[d] - inv[d - part]); invert_poch(8, 30) keeps 31 terms.
+        real = series._divide_by_one_minus
+        for part, d in [(1, 0), (1, 30), (2, 1), (3, 20), (7, 6), (7, 18), (8, 4), (8, 30)]:
+            def off_by_one(a, k, part=part, d=d):
+                real(a, k)
+                if k == part:
+                    a[d] += 1
+
+            monkeypatch.setattr(series, "_divide_by_one_minus", off_by_one)
             with pytest.raises(ArithmeticError):
-                invert_poch(k, 2 * k + 1)
+                invert_poch(8, 30)
 
 
 class TestLimitDet:
@@ -78,20 +83,19 @@ class TestLimitDet:
 
 
     def test_matches_the_certified_per_power_inverse(self):
-        # The chained steps against the route that inverts (q;q)_k afresh
-        # and certifies it by the product with poch_qq(k).
-        expected = {}
-        for q_trunc in range(61):
-            for k in range(9):
-                shift = k * (k - 1)
-                expected[k, q_trunc] = (poly.ZERO if shift > q_trunc else
-                                        Poly2.monomial((-1) ** k, 2 * shift, 0)
-                                        * invert_poch(k, q_trunc - shift))
+        # Apart from the stride steps: each z^k coefficient, of q-degree at
+        # most q_trunc, times (q;q)_k as `poch_qq` builds it, is
+        # (-1)^k q^(k(k-1)) through q-degree q_trunc, which fixes it.
+        poch = [poch_qq(k) for k in range(9)]
         for z_trunc in range(9):
             for q_trunc in range(61):
                 coeffs = limit_det(z_trunc, q_trunc)
                 for k, c in enumerate(coeffs):
-                    assert c == expected[k, q_trunc], (z_trunc, q_trunc, k)
+                    shift = k * (k - 1)
+                    expected = {} if shift > q_trunc else {(shift, 0): (-1) ** k}
+                    low = {e: v for e, v in qz_terms(c * poch[k]) if e[0] <= q_trunc}
+                    assert low == expected, (z_trunc, q_trunc, k)
+                    assert all(dq <= q_trunc for (dq, _), _ in qz_terms(c))
                     assert Poly2(c.terms) == c  # stored in canonical form
 
     @pytest.mark.parametrize("part, d", [(1, 0), (1, 30), (2, 1), (3, 40), (7, 6), (7, 18),
