@@ -4,12 +4,12 @@ Output is deterministic (identical bytes for identical arguments).  Exit
 codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage error (argparse's own convention).
 
-Each verb imports the modules it runs when it runs, and `json` only for its
-`--json` form: every command starts a fresh interpreter, and for the small
-ones importing the whole package would cost more than the work.  So
-`qlehmer --help` loads no module of the package besides this one,
-`qbinom` none of `lehmer`, `linalg` or `series`, `dyck` only `series`, and
-`limit` neither `lehmer` nor `qcomb`.
+Each verb imports the modules it runs when it runs, and none imports `json`
+(`poly.to_json` writes the JSON form itself): every command starts a fresh
+interpreter, and for the small ones importing more would cost more than the
+work.  So `qlehmer --help` loads no module of the package besides this
+one, `qbinom` none of `lehmer`, `linalg` or `series`, `dyck` only `series`,
+and `limit` neither `lehmer` nor `qcomb`.
 """
 
 from __future__ import annotations
@@ -43,18 +43,20 @@ VERIFY_MAX_N = 52
 # `det` and `lambda`: the recursion keeps two lam's at a time, so time grows
 # about as n^4 (lam(n) has about n^3/24 terms and each of the n steps passes
 # over them) and memory as n^3.  Peaks from wait4 on a shared 2-core host,
-# CPython 3.11: `det 200 --json` 149 MB in 1.9 s, `det 204 --json` 158 MB,
-# `det 208 --json` 168 MB, `det 212 --json` 177 MB in 2.7 to 3.3 s (`lambda
-# 212`, text, 118 MB), `det 216 --json` 187 MB and `det 220 --json` 198 MB.
-# Printing the JSON form sets the peak.  The cap keeps about a fifth of
-# margin under the 250 MB peak that CI allows.
+# CPython 3.11: `det 200 --json` 102 MB in 1.8 to 2.1 s, `det 204 --json`
+# 108 MB, `det 208 --json` 114 MB, `det 212 --json` 121 MB in 1.9 to 2.4 s
+# (`lambda 212`, text, 116 MB), and past the cap `det 216 --json` 127 MB,
+# `det 220 --json` 134 MB and `det 240 --json` 175 MB in 4.2 to 4.7 s.
+# Printing still sets the peak (computing lam(212) alone peaks near 75 MB).
+# The cap was set when `det 212 --json` peaked at 177 MB; it now leaves more
+# than half of the 250 MB peak that CI allows as margin.
 CLOSED_MAX_N = 212
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
-# denominators), so its output outgrows `det`'s.  It is written in pieces,
-# and the factors share their coefficient tuples with the lam table, so the
-# table sets the peak.  Time binds first, nearly all of it printing: in one
-# phase of the host `lu 88` took 3.9 to 4.9 s and 49 MB in text form and
-# 4.7 to 5.2 s and 60 MB with --json.
+# denominators), so its output outgrows `det`'s, but renders it twice: on
+# U's diagonal a denominator reuses the previous numerator's form.  It is
+# written in pieces, and the factors share their coefficient tuples with
+# the lam table.  Time binds first, most of it printing: `lu 88` takes 1.2
+# to 1.8 s and 51 MB in text form and 1.3 to 2.0 s and 51 MB with --json.
 LU_MAX_N = 88
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
 # the worst k is n/2, where `qbinom 176 88` takes 3.4 s and 20 MB and
@@ -69,8 +71,7 @@ STABILIZE_MAX_N = 290
 # `limit`: one stride pass per z-power over at most qdeg + 1 partition
 # counts, and z^k is zero once k(k-1) > qdeg, so printing dominates.  Both
 # forms are written one coefficient at a time: `limit --zdeg 60 --qdeg
-# 10000` takes 0.4 to 0.5 s and 45 MB in text form (23.5 MB of output) and
-# 0.6 to 0.7 s and 49 MB with --json.
+# 10000` takes 0.4 to 0.5 s and 46 MB in either form (23.5 MB of text).
 LIMIT_MAX_ZDEG = 60
 LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
@@ -94,14 +95,9 @@ def _capped(parse, cap: int, verb: str, arg: str, why: str):
 
 
 def _print_poly(value, as_json: bool) -> None:
-    from .poly import to_json_obj, to_text
+    from .poly import to_json, to_text
 
-    if as_json:
-        import json
-
-        print(json.dumps(to_json_obj(value)))
-    else:
-        print(to_text(value))
+    print(to_json(value) if as_json else to_text(value))
 
 
 def _write_joined(parts) -> None:
@@ -119,36 +115,32 @@ def _write_joined(parts) -> None:
 
 
 def _print_bands(n: int, bands, as_json: bool) -> None:
-    """Print `n` and the (key, entries, to_json_obj) triples of `bands`.
+    """Print `n` and the (key, rendered entries) pairs of `bands`.
 
     The output is several times the size of the entries it renders, so it is
     written in pieces; the bytes are those of `json.dumps` on the whole
     object, or of one "key: a, b, ..." line per band.
     """
     if as_json:
-        import json
-
-        sys.stdout.write(f'{{"n": {n}')
-        for key, entries, to_obj in bands:
-            sys.stdout.write(f', "{key}": [')
-            _write_joined(json.dumps(to_obj(x)) for x in entries)
-            sys.stdout.write("]")
-        sys.stdout.write("}\n")
+        head, band, close, tail = f'{{"n": {n}', ', "{}": [', "]", "}\n"
     else:
-        sys.stdout.write(f"n: {n}\n")
-        for key, entries, _ in bands:
-            sys.stdout.write(f"{key}: ")
-            _write_joined(str(x) for x in entries)
-            sys.stdout.write("\n")
+        head, band, close, tail = f"n: {n}\n", "{}: ", "\n", ""
+    sys.stdout.write(head)
+    for key, forms in bands:
+        sys.stdout.write(band.format(key))
+        _write_joined(forms)
+        sys.stdout.write(close)
+    sys.stdout.write(tail)
 
 
 def _cmd_matrix(args) -> int:
     from . import lehmer
-    from .poly import to_json_obj
+    from .poly import to_json, to_text
 
     m = lehmer.lehmer_matrix(args.n)
-    _print_bands(m.n, (("diag", m.diag, to_json_obj), ("super", m.superdiag, to_json_obj),
-                       ("sub", m.subdiag, to_json_obj)), args.json)
+    render = to_json if args.json else to_text
+    _print_bands(m.n, (("diag", map(render, m.diag)), ("super", map(render, m.superdiag)),
+                       ("sub", map(render, m.subdiag))), args.json)
     return 0
 
 
@@ -160,14 +152,32 @@ def _cmd_det(args) -> int:
     return 0
 
 
+def _fractions(entries, render, fraction):
+    """Yield `fraction(render(r.num), render(r.den))` for each RatFunc r.
+
+    A denominator that is the previous entry's numerator object, as on U's
+    diagonal (lam(j)/lam(j-1) follows lam(j-1)/lam(j-2)), reuses its form,
+    so `lu` renders each lam(j) twice, not three times.
+    """
+    num = num_form = None
+    for r in entries:
+        den_form = num_form if r.den is num else render(r.den)
+        num, num_form = r.num, render(r.num)
+        yield fraction(num_form, den_form)
+
+
 def _cmd_lu(args) -> int:
     from . import lehmer
-    from .poly import ratfunc_to_json_obj, to_json_obj
+    from .poly import to_json, to_text
 
     f = lehmer.closed_factors(args.n)
-    _print_bands(f.n, (("u_diag", f.u_diag, ratfunc_to_json_obj),
-                       ("u_super", f.u_super, to_json_obj),
-                       ("l_sub", f.l_sub, ratfunc_to_json_obj)), args.json)
+    if args.json:  # the bytes of `ratfunc_to_json` and of `str` on a RatFunc
+        render, fraction = to_json, '{{"num": {}, "den": {}}}'.format
+    else:
+        render, fraction = to_text, lambda num, den: num if den == "1" else f"({num})/({den})"
+    _print_bands(f.n, (("u_diag", _fractions(f.u_diag, render, fraction)),
+                       ("u_super", map(render, f.u_super)),
+                       ("l_sub", _fractions(f.l_sub, render, fraction))), args.json)
     return 0
 
 
@@ -180,15 +190,13 @@ def _cmd_qbinom(args) -> int:
 
 def _cmd_limit(args) -> int:
     from . import series
-    from .poly import to_json_obj, to_text
+    from .poly import to_json, to_text
 
     coeffs = series.limit_det(args.zdeg, args.qdeg)
     if args.json:
-        import json
-
         # The bytes of json.dumps on the whole object, written in pieces.
         sys.stdout.write(f'{{"z_trunc": {args.zdeg}, "q_trunc": {args.qdeg}, "coeffs": [')
-        _write_joined(json.dumps(to_json_obj(c)) for c in coeffs)
+        _write_joined(map(to_json, coeffs))
         sys.stdout.write("]}\n")
     else:
         sys.stdout.writelines(f"z^{k}: {to_text(c)}\n" for k, c in enumerate(coeffs))

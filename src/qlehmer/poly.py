@@ -21,36 +21,28 @@ A row costs memory in proportion to its span divided by its step, not to
 its term count: a row with terms at u^0, u^1 and u^1000000 holds a million
 zeros.  `Poly2(terms)` and `terms` speak the flat {(eu, ev): coeff} map at
 the boundary.  Python ints are arbitrary precision, so coefficient growth is
-harmless.  Printing uses the graded lexicographic order on (eu + ev, eu, ev),
-which is the same order as on (q + z, q, z); `_view` sorts one int key per
-term to get it when there is more than one row, and reads a single row in
-its stored order.
+harmless.  Printing (`_view`) renders a row's terms by one `str.format`
+template and puts them in graded-lex order on (eu + ev, eu, ev), the order
+on (q + z, q, z), by one index sort; text and JSON differ only in template.
 
 Instances are immutable by convention and no row is changed once built, so
 results share rows, and the coefficient tuples inside them, with their
 operands.  A sum or difference copies the left operand's outer map and
 combines only the rows both operands have: each pair is aligned to its
 common step and added or subtracted by one `map` over the overlap; a row
-only the right operand has is taken as it is, or negated.  A combined row
-is trimmed and re-strided only when it holds a zero, which `0 in` finds in
-one C-level scan.  Multiplication returns the other operand itself when one
-operand is `ONE` (the module's instance, not any constant 1); `RatFunc`
-keeps a polynomial as its numerator over `ONE`, so this spares a copy
-whenever such a value meets a fraction.  Otherwise multiplication takes one
-of three paths.  When one operand is a monomial, as in the shifts
-z q^(j-2) * lam(j-2) of the recursions, every row moves to its shifted
-v-exponent and lo; it keeps its coefficient tuple when the monomial's
-coefficient is 1 and is scaled by one `map` otherwise.  A shift is
-injective on exponents, so no two terms merge and none becomes zero.
-Otherwise one size test decides: when the product's exponent box has no
-more digits than there are term pairs, it uses Kronecker substitution, and
-else it convolves the rows pairwise, through one map per product row.
-Kronecker substitution packs both operands into single ints, one packed row
-per z-row, multiplies them once by CPython's bigint multiply, and unpacks
-the product.  Before packing, each variable's exponents are shifted by the
-operand's minimum and divided by the gcd of the offsets, so the all-even
-(u, v) exponents of (q, z) values such as lam(n) cost nothing extra over the
-(q, z) view.
+only the right operand has is taken as it is, or negated.  Multiplication
+returns the other operand itself when one operand is `ONE` (the module's
+instance, not any constant 1); `RatFunc` keeps a polynomial as its
+numerator over `ONE`, so this spares a copy whenever such a value meets a
+fraction.  Otherwise multiplication takes one of three paths.  When one
+operand is a monomial, as in the shifts z q^(j-2) * lam(j-2) of the
+recursions, every row moves to its shifted v-exponent and lo; it keeps its
+coefficient tuple when the monomial's coefficient is 1 and is scaled by one
+`map` otherwise.  A shift is injective on exponents, so no two terms merge
+and none becomes zero.  Otherwise `_mul_rows` packs both operands into
+single ints by Kronecker substitution (`_grid`) and multiplies them once,
+when the product's exponent box has no more digits than there are term
+pairs, and else convolves the rows pairwise.
 
 `exact_div` packs in the same layout and divides once with `divmod`; a
 nonzero remainder proves that the divisor does not divide.  The quotient is
@@ -80,17 +72,12 @@ class ExactDivisionError(ArithmeticError):
 
 
 class Poly2:
-    """Sparse bivariate polynomial over Z in canonical form.
-
-    The term store `_rows` maps each v-exponent to its dense row
-    (lo, step, coeffs), with coeffs[i] the coefficient of u**(lo + i*step).
-    Canonical means: no empty row, nonzero first and last coefficients, and
-    `step` the gcd of the nonzero terms' offsets from lo, 1 for one term.
-    So a row's memory follows its span over its step; zeros inside a row
-    are stored.  Instances are immutable by convention, so results may
-    share rows and coefficient tuples with operands; no row is changed once
-    built.  Equality is row-map equality, and an int equals its constant
-    polynomial.  Unhashable.
+    """Sparse bivariate polynomial over Z in the canonical row form of the
+    module docstring: `_rows` maps each v-exponent to its dense row
+    (lo, step, coeffs), coeffs[i] the coefficient of u**(lo + i*step).
+    Immutable by convention, so results may share rows and coefficient
+    tuples with operands.  Equality is row-map equality, and an int equals
+    its constant polynomial.  Unhashable.
     """
 
     __slots__ = ("_rows",)
@@ -464,10 +451,7 @@ def _mul_kronecker(a: Rows, b: Rows, grid) -> Rows:
     wraps into the next row.  Every product coefficient is a sum of at most
     min(#a, #b) terms, each bounded by max|a| * max|b|; the digit width
     holds that bound plus a sign bit.  The two packed ints are multiplied
-    once and the product is unpacked.  The packed ints span the product's
-    whole exponent box, so the cost follows the box; `Poly2.__mul__` takes
-    this path only when the box has no more digits than the dict loop has
-    term pairs.
+    once and the product is unpacked; the cost follows the exponent box.
     """
     low_a, low_b, step, span_a, span_b = grid
     row = span_a[0] + span_b[0] + 1
@@ -610,10 +594,9 @@ class RatFunc:
     pairs differ.  Equality is `ratfunc_eq`, which cross-multiplies only when
     the denominators differ, and a sum over a shared denominator keeps it:
     a/d + b/d is (a + b)/d.  The only normalization is that a zero numerator
-    snaps the denominator to `ONE`.  So zero needs no shortcut of its own:
-    with a zero operand the general formulas only multiply by zero or by
-    `ONE` and add zero, which `Poly2` answers without a pass over any terms,
-    and a zero result snaps its denominator back to `ONE`.
+    snaps the denominator to `ONE`, so zero needs no shortcut: the general
+    formulas only multiply by zero or `ONE` and add zero, which `Poly2`
+    answers without a pass over any terms.
     """
 
     __slots__ = ("num", "den")
@@ -703,91 +686,103 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
 # -- canonical text and JSON forms -------------------------------------------
 
 
-def _view(p: Poly2) -> tuple[bool, Iterator[tuple[int, int, int]]]:
-    """The printed view of p: whether it is the (q, z) view, and its terms.
+def _view(p: Poly2, templates) -> tuple[bool, list[str]]:
+    """Whether p prints in the (q, z) view, and its terms rendered in order.
 
-    The (q, z) view is taken when every exponent is even, and its exponents
-    are halved here.  The terms are (q- or u-exponent, z- or v-exponent,
-    coeff), yielded lazily in graded-lex order.  One int key per term sorts
-    them: (u + v) * span + u, with span above every u-exponent, orders as
-    (u + v, u), which fixes v, and so as (q + z, q, z) in the (q, z) view.
-    A row's keys, v * span + u * (span + 1), form one range, and `compress`
-    keeps those of its nonzero coefficients.  Each coefficient is read back
-    from its row as it is yielded.  A one-row polynomial, such as every
-    q-polynomial, is already in order: its terms are zipped from its row
-    with no key and no sort.
+    The (q, z) view is taken when every exponent is even, with exponents
+    halved.  `templates(qz, b)` gives a row's `str.format` templates for
+    (coeff, exponent) at exponents 0, 1 and above of its varying variable,
+    b being its z- or v-exponent.  A row is one `map` of the last; its terms
+    at exponents 0 and 1 are redone.  One index sort over int keys gives
+    graded-lex order: (u + v) * span + u, span above every u-exponent,
+    orders as (u + v, u), which fixes v, so as (q + z, q, z).  A row's keys,
+    v * span + u * (span + 1), are one range cut by `compress`; they are
+    dropped before any term is rendered.  One row is already in order.
     """
     rows = p._rows
     qz = all(ev % 2 == 0 and row[0] % 2 == 0 and _stride(row) % 2 == 0
              for ev, row in rows.items())
+    order = None
+    if len(rows) > 1:
+        span = 1 + max(lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values())
+        keys: list[int] = []
+        for ev, (lo, step, coeffs) in rows.items():
+            start = ev * span + lo * (span + 1)
+            keys += compress(range(start, start + len(coeffs) * step * (span + 1),
+                                   step * (span + 1)), coeffs)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
     shift = 1 if qz else 0
-    if len(rows) == 1:
-        (ev, (lo, step, coeffs)), = rows.items()
-        lo, step = lo >> shift, step >> shift or 1
-        return qz, zip(compress(range(lo, lo + len(coeffs) * step, step), coeffs),
-                       repeat(ev >> shift), filter(None, coeffs))
-    span = 1 + max((lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values()),
-                   default=0)
-    keys: list[int] = []
+    terms: list[str] = []
     for ev, (lo, step, coeffs) in rows.items():
-        start = ev * span + lo * (span + 1)
-        keys += compress(range(start, start + len(coeffs) * step * (span + 1),
-                               step * (span + 1)), coeffs)
-    keys.sort()
+        lo, step = lo >> shift, step >> shift or 1
+        at, first = templates(qz, ev >> shift), len(terms)
+        terms += map(at[2].format, filter(None, coeffs),
+                     compress(range(lo, lo + len(coeffs) * step, step), coeffs))
+        low = zip(compress(range(lo, 2, step), coeffs), filter(None, coeffs))
+        for i, (e, c) in enumerate(low):  # the row's term i, at exponent e < 2
+            terms[first + i] = at[e].format(c, e)
+    return qz, terms if order is None else list(map(terms.__getitem__, order))
 
-    def terms():
-        for key in keys:
-            total, eu = divmod(key, span)
-            ev = total - eu
-            lo, step, coeffs = rows[ev]
-            yield eu >> shift, ev >> shift, coeffs[(eu - lo) // step]
 
-    return qz, terms()
+def _text_templates(qz: bool, b: int) -> tuple[str, str, str]:
+    """Text terms "c*body": factors q then z in the (q, z) view, v then u in
+    the (u, v) view, `^e` only for e > 1; a bare "c" for the constant."""
+    x, y = ("q", "z") if qz else ("u", "v")
+    fixed = [f"{y}^{b}"] if b > 1 else [y] * b
+    return tuple("*".join(["{}", *var, *fixed] if qz else ["{}", *fixed, *var])
+                 for var in ([], [x], [x + "^{}"]))
+
+
+def _json_templates(qz: bool, b: int) -> tuple[str, str, str]:
+    return (f'[{b}, {{1}}, "{{0}}"]',) * 3  # [z_exp, q_exp, "coeff"] at every exponent
+
+
+_PIECE = 4096  # terms per piece of `to_text`
 
 
 def to_text(p: Poly2) -> str:
     """Canonical text form: graded-lex order, (q, z) view when exponents allow.
 
     Examples: `1 - z - q*z` in the (q, z) view, `v*u^2` in the (u, v) view.
-    Every term is rendered with its sign, " + t" or " - t", by one or two
-    f-strings; the first term's sign is fixed once at the end.
+    Terms "c*body" (a constant "c") are joined by " + " in pieces of
+    `_PIECE` terms, each led by a " + ", where " + -" then becomes " - " and
+    " 1*" becomes " ".  Exact: a body holds only letters, digits, `^` and
+    `*`, and a coefficient digits after an optional "-", so a space occurs
+    only in a separator and both patterns only at a term's start, before a
+    negative coefficient and before a 1 or (by then) -1 other than the
+    constant's.  The first piece's " + " is dropped, or its " - " becomes
+    "-".  Only the join copies the whole text; the terms are freed before it.
     """
-    qz, terms = _view(p)
-    if qz:
-        x, y = "q", "z"
-    else:
-        x, y = "v", "u"
-        terms = ((b, a, c) for a, b, c in terms)
-    parts: list[str] = []
-    for a, b, c in terms:
-        if not b:
-            if not a:
-                parts.append(f" + {c}" if c > 0 else f" - {-c}")
-                continue
-            body = x if a == 1 else f"{x}^{a}"
-        elif not a:
-            body = y if b == 1 else f"{y}^{b}"
-        else:
-            body = f"{x if a == 1 else f'{x}^{a}'}*{y if b == 1 else f'{y}^{b}'}"
-        if c > 0:
-            parts.append(f" + {body}" if c == 1 else f" + {c}*{body}")
-        else:
-            parts.append(f" - {body}" if c == -1 else f" - {-c}*{body}")
-    if not parts:
+    _, terms = _view(p, _text_templates)
+    if not terms:
         return "0"
-    first = parts[0]
-    parts[0] = first[3:] if first[1] == "+" else f"-{first[3:]}"
-    return "".join(parts)
+    pieces = [(" + " + " + ".join(terms[i:i + _PIECE])).replace(" + -", " - ").replace(" 1*", " ")
+              for i in range(0, len(terms), _PIECE)]
+    del terms
+    first = pieces[0]
+    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(pieces)
+
+
+def to_json(p: Poly2) -> str:
+    """The bytes of `json.dumps(to_json_obj(p))`, without `json`: the object's
+    head and tail ride on the first and last terms, so one join builds it."""
+    qz, terms = _view(p, _json_templates)
+    head = '{"vars": "qz", "terms": [' if qz else '{"vars": "uv", "terms": ['
+    if not terms:
+        return head + "]}"
+    terms[0] = head + terms[0]
+    terms[-1] += "]}"
+    return ", ".join(terms)
 
 
 def to_json_obj(p: Poly2) -> dict:
-    """JSON form: `vars` marker plus [z_exp, q_exp, coeff] triples.
+    """JSON form, read back from `to_json`: [z_exp, q_exp, coeff] triples
+    under "qz" when every exponent is even, else raw (u, v) ones under "uv"."""
+    import json
 
-    Even-exponent polynomials serialize in the (q, z) view; anything with a
-    half power keeps raw (u, v) exponents under the "uv" marker.
-    """
-    qz, terms = _view(p)
-    return {"vars": "qz" if qz else "uv", "terms": [[b, a, str(c)] for a, b, c in terms]}
+    return json.loads(to_json(p))
 
 
 _COEFF_TEXT = r"-?[1-9][0-9]*"  # compiled on first use, by `re`'s own cache
@@ -826,6 +821,11 @@ def from_json_obj(obj: Mapping) -> Poly2:
             raise ValueError(f"duplicate exponent pair {e}")
         out[e] = int(coeff)
     return Poly2(out)
+
+
+def ratfunc_to_json(r: RatFunc) -> str:
+    """The bytes of `json.dumps(ratfunc_to_json_obj(r))`."""
+    return f'{{"num": {to_json(r.num)}, "den": {to_json(r.den)}}}'
 
 
 def ratfunc_to_json_obj(r: RatFunc) -> dict:

@@ -286,6 +286,21 @@ def test_band_verbs_stream_the_bytes_of_the_whole_object(n):
         assert run(verb, str(n)) == (0, "\n".join(lines) + "\n")
 
 
+def test_u_diag_renders_each_lambda_once():
+    # U's diagonal is lam(j)/lam(j-1): each denominator is the previous
+    # entry's numerator, and its rendered form is reused.
+    f = closed_factors(9)
+    rendered = []
+
+    def render(p):
+        rendered.append(p)
+        return to_text(p)
+
+    forms = list(cli._fractions(f.u_diag, render, "({})/({})".format))
+    assert forms == [f"({r.num})/({r.den})" for r in f.u_diag]
+    assert rendered == [f.u_diag[0].den] + [r.num for r in f.u_diag]
+
+
 @pytest.mark.parametrize("parts", [
     [], ["a"], [""], ["x" * 70000], ["ab"] * 50000, ["x" * 40000, "", "y" * 30000, "z"],
 ])
@@ -371,13 +386,14 @@ def loaded_modules(argv):
     return set(child.stderr.split())
 
 
-# (argv, modules it must load, modules it must not load)
+# (argv, modules it must load, modules it must not load); no verb loads
+# `json`, since `poly.to_json` writes the JSON form itself.
 FOOTPRINTS = [
     (["--help"], {"qlehmer.cli"}, OTHER_MODULES | {"json"}),
     (["qbinom", "6", "3"], {"qlehmer.qcomb"},
      {"qlehmer.lehmer", "qlehmer.linalg", "qlehmer.series", "json"}),
-    (["qbinom", "6", "3", "--json"], {"qlehmer.qcomb", "json"},
-     {"qlehmer.lehmer", "qlehmer.linalg", "qlehmer.series"}),
+    (["qbinom", "6", "3", "--json"], {"qlehmer.qcomb"},
+     {"qlehmer.lehmer", "qlehmer.linalg", "qlehmer.series", "json"}),
     (["stabilize", "8", "2"], {"qlehmer.series", "qlehmer.qcomb"},
      {"qlehmer.lehmer", "qlehmer.linalg", "json"}),
     (["limit", "--zdeg", "2", "--qdeg", "4"], {"qlehmer.series", "qlehmer.poly"},
@@ -385,14 +401,16 @@ FOOTPRINTS = [
     (["dyck", "3", "2"], {"qlehmer.series"}, OTHER_MODULES - {"qlehmer.series"} | {"json"}),
     (["det", "5"], {"qlehmer.lehmer"},
      {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
-    (["lambda", "5", "--json"], {"qlehmer.lehmer", "json"},
-     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series"}),
-    (["matrix", "3", "--json"], {"qlehmer.lehmer", "json"},
-     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series"}),
+    (["lambda", "5", "--json"], {"qlehmer.lehmer"},
+     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
+    (["matrix", "3", "--json"], {"qlehmer.lehmer"},
+     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
     (["lu", "3"], {"qlehmer.lehmer"},
      {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
-    (["limit", "--zdeg", "2", "--qdeg", "4", "--json"], {"qlehmer.series", "json"},
-     {"qlehmer.lehmer", "qlehmer.qcomb", "qlehmer.linalg"}),
+    (["lu", "3", "--json"], {"qlehmer.lehmer"},
+     {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
+    (["limit", "--zdeg", "2", "--qdeg", "4", "--json"], {"qlehmer.series"},
+     {"qlehmer.lehmer", "qlehmer.qcomb", "qlehmer.linalg", "json"}),
     (["verify", "3"], {"qlehmer.lehmer", "qlehmer.linalg"}, {"qlehmer.series", "json"}),
 ]
 

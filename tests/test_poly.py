@@ -1,5 +1,6 @@
 """Ring axioms, canonical form, and fraction-field behavior of Poly2/RatFunc."""
 
+import json
 import math
 import re
 
@@ -24,6 +25,9 @@ from qlehmer.poly import (
     q_poly,
     qz_terms,
     ratfunc_eq,
+    ratfunc_to_json,
+    ratfunc_to_json_obj,
+    to_json,
     to_json_obj,
     to_text,
     z_pow,
@@ -873,10 +877,36 @@ def one_row_term_maps(draw):
 @example({(3, 1): 1})
 @example({(4, 2): 2, (12, 2): -1, (20, 2): 5})
 @example({(1, 3): 1, (4, 3): -1, (7, 3): 2})
+# `to_text` fixes signs and unit coefficients by replacing " + -" and " 1*"
+# in the joined text: coefficients 1 and -1 before and after q^11*z, 11 and
+# 21 (whose last digit is 1), a lone -1, and a negative constant first.
+@example({(20, 2): 1, (22, 2): 1, (24, 2): -1})
+@example({(20, 2): -1, (22, 2): -1, (24, 2): 1})
+@example({(0, 2): 11, (22, 2): -11, (2, 4): 21, (0, 6): -21})
+@example({(0, 0): -1, (22, 2): 1})
+@example({(0, 0): -11, (2, 0): -1, (0, 2): 1, (1, 1): -1})
 @given(st.one_of(printable_term_maps(), one_row_term_maps()))
 def test_text_and_json_follow_the_documented_grammar(terms):
     p = Poly2(terms)
     assert to_text(p) == reference_text(terms)
+    variables = "uv" if any(eu % 2 or ev % 2 for eu, ev in terms) else "qz"
+    assert to_json(p) == json.dumps({"vars": variables, "terms": reference_rows(terms)})
     obj = to_json_obj(p)
-    assert obj["vars"] == ("uv" if any(eu % 2 or ev % 2 for eu, ev in terms) else "qz")
+    assert obj["vars"] == variables
     assert obj["terms"] == reference_rows(terms)
+
+
+def test_text_of_many_pieces_matches_the_grammar():
+    # More terms than one piece of `to_text`, with signs and unit
+    # coefficients on both sides of every piece boundary.
+    terms = {(2 * i, 2 * (i % 3)): (-1) ** (i // 2) * (1 + i % 4 // 3 * 10)
+             for i in range(3 * poly._PIECE + 5)}
+    p = Poly2(terms)
+    assert to_text(p) == reference_text(terms)
+    assert to_json(p) == json.dumps({"vars": "qz", "terms": reference_rows(terms)})
+
+
+@given(polys, nonzero_polys)
+def test_ratfunc_json_is_the_dumped_object(num, den):
+    r = RatFunc(num, den)
+    assert ratfunc_to_json(r) == json.dumps(ratfunc_to_json_obj(r))
