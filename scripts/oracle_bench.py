@@ -17,21 +17,22 @@ worst case.  Beyond those:
 
 The recursion table times the table `tuple(lambdas(n))`, the recursion
 behind `qlehmer det` and `qlehmer lambda` (which keep only its last two
-values), and apart from it the last step's two kernels: the
-monomial shift z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The
-kernel table times one product lam(n-1) * lam(n) per size, and the
-division table one route per row: `gauss_product` on [80 20]_q and
-[64 32]_q, the short quotient behind `qlehmer qbinom` and `qlehmer
-stabilize`, and Bareiss on M(16) and M(22).
-Each row records the result's term count and largest coefficient in bits,
-the output size that drives the cost.  Rerun this to retune the caps on
-different hardware.
+values); beside it the closed sum `lambda_sum(n)`, whose z-rows come from
+certified (1 - q^j) stride passes and which `qlehmer verify` checks against
+the recursion; and the last step's two kernels: the monomial shift
+z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The kernel table
+times one product lam(n-1) * lam(n) per size, and the division table one
+route per row: `gauss_product` on [80 20]_q and [64 32]_q, the short
+quotient behind `qlehmer qbinom` and `qlehmer stabilize`, and Bareiss on
+M(16) and M(22).  Each row records the result's term count and largest
+coefficient in bits, the output size that drives the cost.  Rerun this to
+retune the caps on different hardware.
 """
 
 import argparse
 import time
 
-from qlehmer.lehmer import closed_factors, lambda_rec, lambdas, lehmer_matrix
+from qlehmer.lehmer import closed_factors, lambda_rec, lambda_sum, lambdas, lehmer_matrix
 from qlehmer.linalg import det_bareiss, det_cofactor, lu_generic, product_check
 from qlehmer.poly import q_pow, z_pow
 from qlehmer.qcomb import gauss_product
@@ -53,12 +54,17 @@ def coeff_bits(p) -> int:
 
 
 def recursion_table() -> None:
-    """The table lam(0..n), then the last step's shift and subtraction on it."""
-    print(f"{'n':>3} {'lambdas':>10} {'shift':>7} {'subtract':>8} {'terms':>7} {'bits':>5}")
+    """The table lam(0..n) and the closed sum lam(n), then the last step's
+    shift and subtraction on the table."""
+    print(f"{'n':>3} {'lambdas':>10} {'lambda_sum':>10} {'shift':>7} {'subtract':>8} "
+          f"{'terms':>7} {'bits':>5}")
     for n in RECURSION_SIZES:
         start = time.perf_counter()
         lam = tuple(lambdas(n))
         t_rec = time.perf_counter() - start
+        start = time.perf_counter()
+        closed = lambda_sum(n)
+        t_sum = time.perf_counter() - start
         step = z_pow(1) * q_pow(n - 2)
         start = time.perf_counter()
         shifted = step * lam[n - 2]
@@ -66,8 +72,8 @@ def recursion_table() -> None:
         start = time.perf_counter()
         last = lam[n - 1] - shifted
         t_sub = time.perf_counter() - start
-        assert last == lam[n]
-        print(f"{n:>3} {t_rec:10.3f} {t_shift:7.4f} {t_sub:8.4f} "
+        assert last == lam[n] == closed
+        print(f"{n:>3} {t_rec:10.3f} {t_sum:10.3f} {t_shift:7.4f} {t_sub:8.4f} "
               f"{len(last.terms):>7} {coeff_bits(last):>5}")
 
 

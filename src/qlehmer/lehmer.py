@@ -10,19 +10,21 @@ which satisfy lam(j) = lam(j-1) - z q^(j-2) lam(j-2) with lam(0) = lam(1) = 1.
 The U pivots are the ratios lam(j)/lam(j-1), the determinant telescopes to
 lam(n), and at q = 1, z = -1 the family collapses to Fibonacci numbers.
 
-`lambda_sum` (closed sum, via the product-form binomials) and `lambda_rec`
-(three-term recursion) are two independent constructions; tests require them
-to agree term for term.  The recursion is written once, in the generator
-`lambdas`, which keeps only the last two values: `lambda_rec(n)`, which is
-also det M(n), holds about three lam's at a time, so its memory grows as the
-size of lam(n) (about n^3/24 terms), not as the whole table (about n^4).
+`lambda_sum` (closed sum, each binomial row from the one before by the
+certified (1 - q^j) stride kernel of `poly`) and `lambda_rec` (three-term
+recursion) share no code; tests require them to agree term for term.  The
+recursion is written once, in the generator `lambdas`, which keeps only the
+last two values: `lambda_rec(n)`, which is also det M(n), holds about three
+lam's at a time, so its memory grows as the size of lam(n) (about n^3/24
+terms), not as the whole table (about n^4).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import neg
 
-from .poly import ONE, ZERO, Poly2, RatFunc, q_pow, z_pow
+from .poly import ONE, ZERO, Poly2, RatFunc, _certified_step, q_dense, q_pow, times_one_minus, z_pow
 
 
 class TriMatrix:
@@ -87,17 +89,28 @@ class BandedFactors:
                 == (other.n, other.u_diag, other.u_super, other.l_sub))
 
 
-def lambda_sum(j: int) -> Poly2:
-    """lam(j) from the closed sum, one Gaussian-binomial term per z-power."""
-    from .qcomb import gauss_product
+def _exact_quotient(a: list[int], m: int) -> list[int]:
+    """The dense q-list a / (1 - q^m): the certified series quotient, which
+    is a polynomial if and only if its top m terms are zero (else ArithmeticError)."""
+    quot, cut = _certified_step(a, m), len(a) - m
+    if cut < 1 or any(quot[cut:]):
+        raise ArithmeticError(f"1 - q^{m} does not divide the row")
+    return quot[:cut]
 
+
+def lambda_sum(j: int) -> Poly2:
+    """lam(j) from the closed sum: the z^k row (-1)^k q^(k(k-1)) [j-k k]_q,
+    with [j-k k] = [j-k+1 k-1] (1 - q^(j-2k+1))(1 - q^(j-2k+2)) / ((1 - q^k)(1 - q^(j-k+1)))
+    by two `times_one_minus` passes and two exact divisions of a dense q-list."""
     if j < 0:
         raise ValueError("index must be nonnegative")
-    total = ZERO
+    rows, row = {}, [1]
     for k in range(j // 2 + 1):
-        term = gauss_product(j - k, k) * (q_pow(k * (k - 1)) * z_pow(k))
-        total = total - term if k % 2 else total + term
-    return total
+        if k:
+            row = times_one_minus(times_one_minus(row, j - 2 * k + 1), j - 2 * k + 2)
+            row = _exact_quotient(_exact_quotient(row, k), j - k + 1)
+        rows[2 * k] = q_dense(list(map(neg, row)) if k % 2 else row, k * (k - 1))._rows[0]
+    return Poly2._raw(rows)
 
 
 def lambdas(j_max: int) -> Iterator[Poly2]:

@@ -7,7 +7,8 @@ ever appear.  Values that live in the plain (q, z) world are exactly the
 polynomials whose u- and v-exponents are all even.  `qz_terms` reads their
 (q, z) degrees for computation and `_view` reads them for printing; no other
 code tests exponent parity or halves exponents.  `q_poly`, `q_dense`,
-`q_pow` and `z_pow` are the ones that build them.
+`q_pow`, `z_pow` and `lehmer.lambda_sum` (from `q_dense` rows) build them.
+Dense q-lists meet 1 - q^j only in `times_one_minus` and `_certified_step`.
 
 A polynomial is stored as z-rows: a map from each v-exponent to its row,
 with no empty row; zero is the empty map.  A row is a dense triple
@@ -57,7 +58,7 @@ the denominators differ (see `ratfunc_eq`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, isqrt
 from operator import add, neg, rshift, sub
 
@@ -577,6 +578,31 @@ def q_dense(coeffs: list[int], start: int) -> Poly2:
     as one row; a list with no zero is stored as it stands."""
     row = _row(2 * start, 2, coeffs)
     return Poly2._raw({0: row}) if row else ZERO
+
+
+def times_one_minus(a: list[int], j: int) -> list[int]:
+    """The dense q-list a times (1 - q^j): b[d] = a[d] - a[d - j], one `map`."""
+    b = a + [0] * j
+    b[j:] = map(sub, b[j:], a)
+    return b
+
+
+def _divide_by_one_minus(a: list[int], part: int) -> None:
+    """a times 1/(1 - q^part) modulo q^len(a), in place: a[d] += a[d - part] in
+    increasing d is a running sum per residue class, one C-level `accumulate`."""
+    for r in range(min(part, len(a))):
+        a[r::part] = accumulate(a[r::part])
+
+
+def _certified_step(prev: list[int], part: int) -> list[int]:
+    """prev / (1 - q^part) modulo q^len(prev) by a stride pass on a copy, which
+    must multiply back to prev (else ArithmeticError).  Chained from [1, 0, ...]
+    over parts 1..k without growing, the steps prove it times (q;q)_k is 1."""
+    inv = prev.copy()
+    _divide_by_one_minus(inv, part)
+    if times_one_minus(inv, part)[:len(prev)] != prev:
+        raise ArithmeticError(f"stride division by 1 - q^{part} failed its certificate")
+    return inv
 
 
 def eval_qz(a: Poly2, q_val: int, z_val: int) -> int:

@@ -13,29 +13,21 @@ The binomial is computed by two deliberately independent routes:
 The test suite pins the two against each other; a discrepancy would expose a
 wrong recurrence choice immediately.  Both produce pure q-polynomials, i.e.
 Poly2 values with even u-exponents and zero v-exponent.  The module keeps no
-memo: every call builds only the factors it needs.
+memo: every call builds only the factors it needs, each as one
+`poly.times_one_minus` pass; `lehmer.lambda_sum` uses no binomial from here.
 """
 
 from __future__ import annotations
 
-from operator import sub
-
-from .poly import ONE, ZERO, Poly2, exact_div, q_dense, q_pow
+from .poly import ONE, ZERO, Poly2, exact_div, q_dense, q_pow, times_one_minus
 
 
 def _run_product(lo: int, hi: int) -> Poly2:
-    """(1-q^lo)(1-q^(lo+1))...(1-q^hi); 1 when hi < lo.
-
-    The product runs on one dense list of q-coefficients: times (1 - q^j)
-    is b[d] = a[d] - a[d - j], one `map` over the list shifted by j.
-    """
-    if hi < lo:
-        return ONE
+    """(1-q^lo)(1-q^(lo+1))...(1-q^hi), 1 when hi < lo: one dense q-list,
+    one `poly.times_one_minus` pass per factor."""
     coeffs = [1]
     for j in range(lo, hi + 1):
-        shifted = coeffs + [0] * j
-        shifted[j:] = map(sub, shifted[j:], coeffs)
-        coeffs = shifted
+        coeffs = times_one_minus(coeffs, j)
     return q_dense(coeffs, 0)
 
 

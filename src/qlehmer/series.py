@@ -7,7 +7,7 @@ As n grows, det M(n) stabilizes coefficient-wise to the q-series
 represented here, truncated at z-degree K and q-degree D, as the tuple of
 its K + 1 coefficients of z^0..z^K, each a q-polynomial of degree at most D
 in the half-power carrier of `qlehmer.poly`.  Every inverse 1/(q;q)_k is
-built by certified stride steps, one per part (`_certified_step`).
+built by certified stride steps, one per part (`poly._certified_step`).
 `stabilization_check` measures, for one z-power at a time, through which
 q-degree the finite determinant already agrees with the limit; the answer
 is exactly n - 2k for k >= 1, because [n-k k]_q = (q^(n-2k+1); q)_k /
@@ -31,46 +31,14 @@ CLI command starts a fresh interpreter: `dyck_count` loads none of them,
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate
-from operator import neg, sub
-
-
-def _divide_by_one_minus(a: list[int], part: int) -> None:
-    """Multiply the series a by 1/(1 - q^part) modulo q^len(a), in place.
-
-    That is the recurrence a[d] += a[d - part] for d = part..len(a) - 1 in
-    increasing order: a[d - part] has already become the sum over j >= 0 of
-    a[d - part - j*part], so a[d] becomes the sum over j >= 0 of
-    a[d - j*part].  So each residue class of d modulo `part` becomes its own
-    running sum, which `accumulate` takes in one C-level pass per class.
-    """
-    for r in range(min(part, len(a))):
-        a[r::part] = accumulate(a[r::part])
-
-
-def _certified_step(prev: list[int], part: int) -> list[int]:
-    """prev / (1 - q^part) modulo q^len(prev): one stride pass on a copy,
-    certified by multiplying back before it is returned, inv[d] == prev[d]
-    for d < part and inv[d] - inv[d - part] == prev[d] above, or else
-    ArithmeticError.  Chained from [1, 0, ...], the steps for parts 1..k
-    prove by induction that the list times (q;q)_k is 1 modulo q^len, as
-    long as it never grows between steps.
-    """
-    inv = prev.copy()
-    _divide_by_one_minus(inv, part)
-    if inv[:part] != prev[:part] or list(map(sub, inv[part:], inv)) != prev[part:]:
-        raise ArithmeticError(f"series inversion step failed certification for k={part}")
-    return inv
+from operator import neg
 
 
 def invert_poch(k: int, trunc: int) -> Poly2:
-    """Power-series inverse of (q;q)_k truncated at q-degree `trunc`.
-
-    1/(q;q)_k is the product over parts i <= k of 1/(1 - q^i) =
-    1 + q^i + q^(2i) + ..., the generating function of partitions into
-    parts <= k: one certified step per part, without reading (q;q)_k.
-    """
-    from .poly import q_dense
+    """Power-series inverse of (q;q)_k truncated at q-degree `trunc`: the
+    product over parts i <= k of 1/(1 - q^i), the generating function of
+    partitions into parts <= k, by one certified step per part."""
+    from .poly import _certified_step, q_dense
 
     if k < 0 or trunc < 0:
         raise ValueError("arguments must be nonnegative")
@@ -89,7 +57,7 @@ def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
     step from inv_(k-1), cut to the q_trunc - k(k-1) + 1 coefficients that
     z^k needs.
     """
-    from .poly import ONE, ZERO, q_dense
+    from .poly import ONE, ZERO, _certified_step, q_dense
 
     if z_trunc < 0 or q_trunc < 0:
         raise ValueError("truncation orders must be nonnegative")

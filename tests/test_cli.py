@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import qlehmer
-from qlehmer import cli, lehmer, qcomb, series
+from qlehmer import cli, lehmer, linalg, poly, qcomb, series
 from qlehmer.lehmer import BandedFactors, closed_factors, lehmer_matrix
 from qlehmer.poly import (
     RAT_ONE,
+    Poly2,
     from_json_obj,
     ratfunc_from_json_obj,
     ratfunc_to_json_obj,
@@ -116,6 +117,21 @@ def test_verify_reports_a_wrong_closed_sum(monkeypatch):
     code, out = run("verify", "4")
     assert code == 1
     assert out.splitlines()[-1] == "closed sum equals recursion det: FAIL"
+
+
+def test_closed_sum_multiplies_and_divides_no_polynomials(monkeypatch):
+    # `verify`'s closed sum runs on dense q-lists alone: with every binding
+    # of `exact_div` and the Poly2 product made to raise, it still gives lam(30).
+    expected = lehmer.lambda_rec(30)
+
+    def forbidden(*args):
+        raise AssertionError("lambda_sum multiplied or divided polynomials")
+
+    for module in (poly, qcomb, linalg):
+        monkeypatch.setattr(module, "exact_div", forbidden)
+    monkeypatch.setattr(Poly2, "__mul__", forbidden)
+    monkeypatch.setattr(Poly2, "__rmul__", forbidden)
+    assert lehmer.lambda_sum(30) == expected
 
 
 def test_verify_names_the_first_wrong_product_entry(monkeypatch):
@@ -411,7 +427,8 @@ FOOTPRINTS = [
      {"qlehmer.qcomb", "qlehmer.linalg", "qlehmer.series", "json"}),
     (["limit", "--zdeg", "2", "--qdeg", "4", "--json"], {"qlehmer.series"},
      {"qlehmer.lehmer", "qlehmer.qcomb", "qlehmer.linalg", "json"}),
-    (["verify", "3"], {"qlehmer.lehmer", "qlehmer.linalg"}, {"qlehmer.series", "json"}),
+    (["verify", "3"], {"qlehmer.lehmer", "qlehmer.linalg"},
+     {"qlehmer.qcomb", "qlehmer.series", "json"}),
 ]
 
 

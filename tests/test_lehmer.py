@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from qlehmer import lehmer, poly
 from qlehmer.lehmer import (
     BandedFactors,
     TriMatrix,
@@ -25,6 +26,7 @@ from qlehmer.poly import (
     q_pow,
     qz_terms,
     ratfunc_eq,
+    times_one_minus,
     z_pow,
 )
 from qlehmer.qcomb import gauss_pascal
@@ -47,6 +49,54 @@ class TestLambdaSum:
     def test_j4(self):
         assert lambda_sum(4) == qz_poly(
             {(0, 0): 1, (0, 1): -1, (1, 1): -1, (2, 1): -1, (2, 2): 1})
+
+    def test_rows_match_pascal_binomials_up_to_40(self):
+        # The z^k row is (-1)^k q^(k(k-1)) [j-k k]_q, with the binomial from
+        # the q-Pascal recurrence, which divides nothing; no other row exists.
+        for j in range(41):
+            rows = {}
+            for (dq, dz), c in qz_terms(lambda_sum(j)):
+                rows.setdefault(dz, {})[dq] = c
+            assert set(rows) == set(range(j // 2 + 1)), j
+            for k, row in rows.items():
+                expected = {dq + k * (k - 1): (-1) ** k * c
+                            for (dq, _), c in qz_terms(gauss_pascal(j - k, k))}
+                assert row == expected, (j, k)
+
+    def test_exact_quotient_divides_out_a_factor(self):
+        row = [1, 1, 2, 1, 1]  # [4 2]_q
+        for m in range(1, 8):
+            assert lehmer._exact_quotient(times_one_minus(row, m), m) == row, m
+
+    def test_exact_quotient_rejects_a_row_it_does_not_divide(self):
+        # [4 2]_q is 6 at q = 1, where every 1 - q^m vanishes; its series
+        # quotient passes the certificate but has a nonzero top, or (m >= 5)
+        # the row is shorter than m.
+        for m in range(1, 8):
+            with pytest.raises(ArithmeticError):
+                lehmer._exact_quotient([1, 1, 2, 1, 1], m)
+
+    @pytest.mark.parametrize("part, d", [(1, 0), (1, 9), (2, 1), (3, 20), (7, 6), (12, 20)])
+    def test_a_wrong_stride_pass_fails_its_certificate(self, monkeypatch, part, d):
+        # One coefficient of the first stride pass by 1 - q^part off by one;
+        # lam(24) divides by 1 - q^k and 1 - q^(25-k) for k = 1..12.
+        real = poly._divide_by_one_minus
+        hits = []
+
+        def off_by_one(a, m):
+            real(a, m)
+            if m == part and not hits:
+                hits.append(m)
+                a[d] += 1
+
+        monkeypatch.setattr(poly, "_divide_by_one_minus", off_by_one)
+        with pytest.raises(ArithmeticError):
+            lambda_sum(24)
+        assert hits
+
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError):
+            lambda_sum(-1)
 
 
 class TestLambdaRec:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qlehmer import poly, series
+from qlehmer import poly
 from qlehmer.lehmer import lambda_rec
 from qlehmer.poly import ONE, Poly2, qz_terms
 from qlehmer.qcomb import poch_qq
@@ -46,14 +46,14 @@ class TestInvertPoch:
         # One coefficient of one stride pass off by one, below the part (the
         # check inv[d] == prev[d]) or at or above it (the check on
         # inv[d] - inv[d - part]); invert_poch(8, 30) keeps 31 terms.
-        real = series._divide_by_one_minus
+        real = poly._divide_by_one_minus
         for part, d in [(1, 0), (1, 30), (2, 1), (3, 20), (7, 6), (7, 18), (8, 4), (8, 30)]:
             def off_by_one(a, k, part=part, d=d):
                 real(a, k)
                 if k == part:
                     a[d] += 1
 
-            monkeypatch.setattr(series, "_divide_by_one_minus", off_by_one)
+            monkeypatch.setattr(poly, "_divide_by_one_minus", off_by_one)
             with pytest.raises(ArithmeticError):
                 invert_poch(8, 30)
 
@@ -104,14 +104,14 @@ class TestLimitDet:
         # One coefficient of one stride pass off by one, below the part (the
         # check inv_k[d] == inv_(k-1)[d]) or at or above it (the check on
         # inv_k[d] - inv_k[d - k]); at (8, 60) step k keeps 61 - k(k-1) terms.
-        real = series._divide_by_one_minus
+        real = poly._divide_by_one_minus
 
         def off_by_one(a, k):
             real(a, k)
             if k == part:
                 a[d] += 1
 
-        monkeypatch.setattr(series, "_divide_by_one_minus", off_by_one)
+        monkeypatch.setattr(poly, "_divide_by_one_minus", off_by_one)
         with pytest.raises(ArithmeticError):
             limit_det(8, 60)
 
