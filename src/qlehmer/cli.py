@@ -42,21 +42,23 @@ def _nonneg_int(text: str) -> int:
 VERIFY_MAX_N = 52
 # `det` and `lambda`: the recursion keeps two lam's at a time, so time grows
 # about as n^4 (lam(n) has about n^3/24 terms and each of the n steps passes
-# over them) and memory as n^3.  Peaks from wait4 on a shared 2-core host,
-# CPython 3.11: `det 200 --json` 102 MB in 1.8 to 2.1 s, `det 204 --json`
-# 108 MB, `det 208 --json` 114 MB, `det 212 --json` 121 MB in 1.9 to 2.4 s
-# (`lambda 212`, text, 116 MB), and past the cap `det 216 --json` 127 MB,
-# `det 220 --json` 134 MB and `det 240 --json` 175 MB in 4.2 to 4.7 s.
-# Printing still sets the peak (computing lam(212) alone peaks near 75 MB).
-# The cap was set when `det 212 --json` peaked at 177 MB; it now leaves more
-# than half of the 250 MB peak that CI allows as margin.
+# over them) and memory as n^3.  Both write their output in pieces of 16384
+# terms (`poly.to_json` and `poly.to_text` given `sys.stdout.write`), never as
+# one string.  Peaks from wait4 on a shared 2-core host, CPython 3.11: `det
+# 160 --json` 47 MB in 1.0 s, `det 200 --json` 81 MB in 2.1 s, `det 212
+# --json` 95 MB in 2.6 to 3.1 s (`lambda 212`, text, 95 MB), and past the cap
+# lam(240) in JSON 133 MB in 3.3 s.  The rendered terms still set the peak
+# (computing lam(212) alone peaks near 71 MB).  The cap was set when `det 212
+# --json` peaked at 177 MB; it now leaves more than half of the 250 MB peak
+# that CI allows as margin.
 CLOSED_MAX_N = 212
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
 # denominators), so its output outgrows `det`'s, but renders it twice: on
 # U's diagonal a denominator reuses the previous numerator's form.  It is
 # written in pieces, and the factors share their coefficient tuples with
-# the lam table.  Time binds first, most of it printing: `lu 88` takes 1.2
-# to 1.8 s and 51 MB in text form and 1.3 to 2.0 s and 51 MB with --json.
+# the lam table.  Time binds first, most of it printing: `lu 88` takes 1.9
+# to 2.0 s and 50 MB in text form and 1.3 to 1.8 s and 50 to 51 MB with
+# --json.
 LU_MAX_N = 88
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
 # the worst k is n/2, where `qbinom 176 88` takes 3.4 s and 20 MB and
@@ -77,8 +79,8 @@ LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
 # 3600` takes 8.7 s, `dyck 4000 4000` 12.8 s.
 DYCK_MAX_M = 3600
-# `matrix`: builds all 3n - 2 entries and prints them; `matrix 300000 --json`
-# takes 9.1 s and 126 MB.
+# `matrix`: builds all 3n - 2 entries and prints them; `matrix 300000` takes
+# 5 to 7.5 s and 140 MB in either form.
 MATRIX_MAX_N = 300000
 
 
@@ -95,9 +97,11 @@ def _capped(parse, cap: int, verb: str, arg: str, why: str):
 
 
 def _print_poly(value, as_json: bool) -> None:
+    """Write the polynomial's text or JSON form and a newline, in pieces."""
     from .poly import to_json, to_text
 
-    print(to_json(value) if as_json else to_text(value))
+    (to_json if as_json else to_text)(value, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def _write_joined(parts) -> None:

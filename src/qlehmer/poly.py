@@ -22,28 +22,32 @@ A row costs memory in proportion to its span divided by its step, not to
 its term count: a row with terms at u^0, u^1 and u^1000000 holds a million
 zeros.  `Poly2(terms)` and `terms` speak the flat {(eu, ev): coeff} map at
 the boundary.  Python ints are arbitrary precision, so coefficient growth is
-harmless.  Printing (`_view`) renders a row's terms by one `str.format`
-template and puts them in graded-lex order on (eu + ev, eu, ev), the order
-on (q + z, q, z), by one index sort; text and JSON differ only in template.
+harmless.  Printing (`_view`) renders all terms of a row by one `%` of a
+row template repeated once per term, and hands them out in graded-lex order
+on (eu + ev, eu, ev), the order on (q + z, q, z), through one index sort;
+text and JSON differ only in template, and either form can be written in
+pieces as it is built (`to_text`, `to_json`).
 
 Instances are immutable by convention and no row is changed once built, so
 results share rows, and the coefficient tuples inside them, with their
 operands.  A sum or difference copies the left operand's outer map and
 combines only the rows both operands have: each pair is aligned to its
-common step and added or subtracted by one `map` over the overlap; a row
-only the right operand has is taken as it is, or negated.  Multiplication
-returns the other operand itself when one operand is `ONE` (the module's
-instance, not any constant 1); `RatFunc` keeps a polynomial as its
-numerator over `ONE`, so this spares a copy whenever such a value meets a
-fraction.  Otherwise multiplication takes one of three paths.  When one
-operand is a monomial, as in the shifts z q^(j-2) * lam(j-2) of the
-recursions, every row moves to its shifted v-exponent and lo; it keeps its
-coefficient tuple when the monomial's coefficient is 1 and is scaled by one
-`map` otherwise.  A shift is injective on exponents, so no two terms merge
-and none becomes zero.  Otherwise `_mul_rows` packs both operands into
-single ints by Kronecker substitution (`_grid`) and multiplies them once,
-when the product's exponent box has no more digits than there are term
-pairs, and else convolves the rows pairwise.
+common step, and the combined row is built left to right with each
+coefficient written once, by one `map` over the overlap and copies of the
+parts outside it (negated in a difference where they come from the right
+operand); a row only the right operand has is taken as it is, or negated.
+Multiplication returns the other operand itself when one operand is `ONE`
+(the module's instance, not any constant 1); `RatFunc` keeps a polynomial
+as its numerator over `ONE`, so this spares a copy whenever such a value
+meets a fraction.  Otherwise multiplication takes one of three paths.
+When one operand is a monomial, as in the shifts z q^(j-2) * lam(j-2) of
+the recursions, every row moves to its shifted v-exponent and lo; it keeps
+its coefficient tuple when the monomial's coefficient is 1 and is scaled by
+one `map` otherwise.  A shift is injective on exponents, so no two terms
+merge and none becomes zero.  Otherwise `_mul_rows` packs both operands
+into single ints by Kronecker substitution (`_grid`) and multiplies them
+once, when the product's exponent box has no more digits than there are
+term pairs, and else convolves the rows pairwise.
 
 `exact_div` packs in the same layout and divides once with `divmod`; a
 nonzero remainder proves that the divisor does not divide.  The quotient is
@@ -57,8 +61,9 @@ the denominators differ (see `ratfunc_eq`).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate, compress, repeat
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from functools import cache
+from itertools import accumulate, compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, neg, rshift, sub
 
@@ -208,10 +213,11 @@ def _dense(row: dict[int, int]) -> Row:
 def _row(lo: int, step: int, coeffs: list[int]) -> Row | None:
     """The canonical row of coeffs[i] * u**(lo + i*step), None if all are zero.
 
-    A list with no zero is canonical as it stands.  A zero sends it through
-    a trim of both ends and a re-stride by the gcd of the nonzero offsets.
+    A list with no zero, which one `all` pass over the truth of its ints
+    shows, is canonical as it stands.  A zero sends it through a trim of
+    both ends and a re-stride by the gcd of the nonzero offsets.
     """
-    if 0 in coeffs:
+    if not all(coeffs):
         at = list(compress(range(len(coeffs)), coeffs))
         if not at:
             return None
@@ -262,9 +268,12 @@ def _combine(a: Row, b: Row, op) -> Row | None:
 
     Both rows are laid on their common grid: step g, the gcd of their steps
     and of the distance between their lows.  A row whose step is larger
-    gets g-spaced zeros between its terms.  The left row is copied into a
-    list over the union of both spans and the right one is combined into it
-    by one `map` over its slice.
+    gets g-spaced zeros between its terms.  On that grid the sum is built
+    left to right in one list, each coefficient written once: the head of
+    the row that starts first, the zeros of a gap if the other row starts
+    after it ends, one `map(op)` over the overlap, and the tail of the row
+    that ends last.  A head or tail taken from b is negated when op is
+    `sub`.
     """
     alo, astep, ac = a
     blo, bstep, bc = b
@@ -275,10 +284,20 @@ def _combine(a: Row, b: Row, op) -> Row | None:
         bc = _spread(bc, bstep // g)
     lo = min(alo, blo)
     ia, ib = (alo - lo) // g, (blo - lo) // g
-    out = [0] * ia
-    out += ac
-    out += [0] * (ib + len(bc) - len(out))
-    out[ib:ib + len(bc)] = map(op, out[ib:ib + len(bc)], bc)
+    ea, eb = ia + len(ac), ib + len(bc)
+    mid = ia + ib  # where the later row starts: the other one starts at 0
+    end = max(mid, min(ea, eb))  # the overlap is [mid, end), empty across a gap
+    if ia:
+        out = list(bc[:mid]) if op is add else list(map(neg, bc[:mid]))
+    else:
+        out = list(ac[:mid])
+    if mid > len(out):
+        out += repeat(0, mid - len(out))
+    out += map(op, ac[mid - ia:end - ia], bc[mid - ib:end - ib])
+    if ea > eb:
+        out += ac[end - ia:]
+    elif eb > ea:
+        out += bc[end - ib:] if op is add else map(neg, bc[end - ib:])
     return _row(lo, g, out)
 
 
@@ -712,62 +731,82 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
 # -- canonical text and JSON forms -------------------------------------------
 
 
-def _view(p: Poly2, templates) -> tuple[bool, list[str]]:
-    """Whether p prints in the (q, z) view, and its terms rendered in order.
+def _view(p: Poly2, templates) -> tuple[bool, Iterator[str]]:
+    """Whether p prints in the (q, z) view, and its terms rendered, in order.
 
     The (q, z) view is taken when every exponent is even, with exponents
-    halved.  `templates(qz, b)` gives a row's `str.format` templates for
-    (coeff, exponent) at exponents 0, 1 and above of its varying variable,
-    b being its z- or v-exponent.  A row is one `map` of the last; its terms
-    at exponents 0 and 1 are redone.  One index sort over int keys gives
-    graded-lex order: (u + v) * span + u, span above every u-exponent,
-    orders as (u + v, u), which fixes v, so as (q + z, q, z).  A row's keys,
-    v * span + u * (span + 1), are one range cut by `compress`; they are
-    dropped before any term is rendered.  One row is already in order.
+    halved.  `templates(qz, b)` gives a row's `%` templates: one over the
+    coefficient at exponents 0 and 1 of its varying variable, one over a
+    (coefficient, exponent) pair above them that ends in a newline, and the
+    coefficient's place in that pair; b is the row's z- or v-exponent.  A
+    row is rendered by one `%` of the pair template, repeated once per
+    nonzero term, over the row's interleaved pairs, and one `splitlines`
+    (no term holds a line break); its terms at exponents 0 and 1 are redone.
+    One index sort over int keys gives graded-lex order: (u + v) * span + u,
+    span above every u-exponent, orders as (u + v, u), which fixes v, so as
+    (q + z, q, z).  A row's keys, v * span + u * (span + 1), are one range
+    cut by `compress`; they are dropped before any term is rendered, and the
+    sorted indices are kept as machine words in an `array`.  The rendered
+    terms stay in the one list they were rendered into and are handed out
+    through those indices; one row is already in order.
     """
     rows = p._rows
     qz = all(ev % 2 == 0 and row[0] % 2 == 0 and _stride(row) % 2 == 0
              for ev, row in rows.items())
     order = None
     if len(rows) > 1:
+        from array import array
+
         span = 1 + max(lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values())
         keys: list[int] = []
         for ev, (lo, step, coeffs) in rows.items():
             start = ev * span + lo * (span + 1)
             keys += compress(range(start, start + len(coeffs) * step * (span + 1),
                                    step * (span + 1)), coeffs)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order = array("L", sorted(range(len(keys)), key=keys.__getitem__))
         del keys
     shift = 1 if qz else 0
     terms: list[str] = []
     for ev, (lo, step, coeffs) in rows.items():
         lo, step = lo >> shift, step >> shift or 1
-        at, first = templates(qz, ev >> shift), len(terms)
-        terms += map(at[2].format, filter(None, coeffs),
-                     compress(range(lo, lo + len(coeffs) * step, step), coeffs))
-        low = zip(compress(range(lo, 2, step), coeffs), filter(None, coeffs))
-        for i, (e, c) in enumerate(low):  # the row's term i, at exponent e < 2
-            terms[first + i] = at[e].format(c, e)
-    return qz, terms if order is None else list(map(terms.__getitem__, order))
+        at = templates(qz, ev >> shift)
+        nonzero = list(filter(None, coeffs))
+        pairs = [0] * (2 * len(nonzero))
+        pairs[at[3]::2] = nonzero
+        exps = range(lo, lo + len(coeffs) * step, step)
+        pairs[1 - at[3]::2] = exps if len(nonzero) == len(coeffs) else compress(exps, coeffs)
+        first = len(terms)
+        terms += (at[2] * len(nonzero) % tuple(pairs)).splitlines()
+        if lo < 2:
+            for i, e in enumerate(compress(range(lo, 2, step), coeffs)):  # term i, at e < 2
+                terms[first + i] = at[e] % nonzero[i]
+    return qz, iter(terms) if order is None else map(terms.__getitem__, order)
 
 
-def _text_templates(qz: bool, b: int) -> tuple[str, str, str]:
+@cache  # one row template per (view, z-exponent), however many rows print
+def _text_templates(qz: bool, b: int) -> tuple[str, str, str, int]:
     """Text terms "c*body": factors q then z in the (q, z) view, v then u in
-    the (u, v) view, `^e` only for e > 1; a bare "c" for the constant."""
+    the (u, v) view, `^e` only for e > 1; a bare "c" for the constant.  The
+    coefficient comes first in a pair."""
     x, y = ("q", "z") if qz else ("u", "v")
-    fixed = [f"{y}^{b}"] if b > 1 else [y] * b
-    return tuple("*".join(["{}", *var, *fixed] if qz else ["{}", *fixed, *var])
-                 for var in ([], [x], [x + "^{}"]))
+    fixed = f"*{y}^{b}" if b > 1 else f"*{y}" * b
+    if qz:
+        return "%d" + fixed, f"%d*{x}{fixed}", f"%d*{x}^%d{fixed}\n", 0
+    return "%d" + fixed, f"%d{fixed}*{x}", f"%d{fixed}*{x}^%d\n", 0
 
 
-def _json_templates(qz: bool, b: int) -> tuple[str, str, str]:
-    return (f'[{b}, {{1}}, "{{0}}"]',) * 3  # [z_exp, q_exp, "coeff"] at every exponent
+@cache
+def _json_templates(qz: bool, b: int) -> tuple[str, str, str, int]:
+    """[z_exp, q_exp, "coeff"] triples; the exponent comes first in a pair."""
+    return f'[{b}, 0, "%d"]', f'[{b}, 1, "%d"]', f'[{b}, %d, "%d"]\n', 1
 
 
-_PIECE = 4096  # terms per piece of `to_text`
+# Terms per piece of `to_text` and `to_json`: a piece of a few hundred KB is
+# one write and one join, a small part of the largest outputs (tens of MB).
+_PIECE = 16384
 
 
-def to_text(p: Poly2) -> str:
+def to_text(p: Poly2, write: Callable[[str], object] | None = None) -> str | None:
     """Canonical text form: graded-lex order, (q, z) view when exponents allow.
 
     Examples: `1 - z - q*z` in the (q, z) view, `v*u^2` in the (u, v) view.
@@ -778,29 +817,35 @@ def to_text(p: Poly2) -> str:
     only in a separator and both patterns only at a term's start, before a
     negative coefficient and before a 1 or (by then) -1 other than the
     constant's.  The first piece's " + " is dropped, or its " - " becomes
-    "-".  Only the join copies the whole text; the terms are freed before it.
+    "-".  Returns the text, or, given `write` (such as `sys.stdout.write`),
+    passes it the pieces in order and returns None, so that the whole text
+    is never built.
     """
-    _, terms = _view(p, _text_templates)
-    if not terms:
-        return "0"
-    pieces = [(" + " + " + ".join(terms[i:i + _PIECE])).replace(" + -", " - ").replace(" 1*", " ")
-              for i in range(0, len(terms), _PIECE)]
-    del terms
-    first = pieces[0]
-    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    return "".join(pieces)
+    pieces: list[str] = []
+    put = write or pieces.append
+    terms = _view(p, _text_templates)[1]
+    piece = " + ".join(["", *islice(terms, _PIECE)]).replace(" + -", " - ").replace(" 1*", " ")
+    put(("" if piece[1] == "+" else "-") + piece[3:] if piece else "0")
+    while piece := " + ".join(["", *islice(terms, _PIECE)]):
+        put(piece.replace(" + -", " - ").replace(" 1*", " "))
+    del terms  # the rendered terms go before the join copies the text
+    return None if write else "".join(pieces)
 
 
-def to_json(p: Poly2) -> str:
+def to_json(p: Poly2, write: Callable[[str], object] | None = None) -> str | None:
     """The bytes of `json.dumps(to_json_obj(p))`, without `json`: the object's
-    head and tail ride on the first and last terms, so one join builds it."""
+    head rides on the first piece of terms and its tail follows the last.
+    Returned, or given to `write` in pieces as by `to_text`."""
+    pieces: list[str] = []
+    put = write or pieces.append
     qz, terms = _view(p, _json_templates)
     head = '{"vars": "qz", "terms": [' if qz else '{"vars": "uv", "terms": ['
-    if not terms:
-        return head + "]}"
-    terms[0] = head + terms[0]
-    terms[-1] += "]}"
-    return ", ".join(terms)
+    put(head + ", ".join(islice(terms, _PIECE)))
+    while piece := ", ".join(["", *islice(terms, _PIECE)]):
+        put(piece)
+    del terms
+    put("]}")
+    return None if write else "".join(pieces)
 
 
 def to_json_obj(p: Poly2) -> dict:

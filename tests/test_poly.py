@@ -410,6 +410,66 @@ def test_rows_are_trimmed_and_restrided():
     assert (big - BIG * Q * Q)._rows == {0: (0, 1, (BIG,))}
 
 
+# -- the row sum: every layout of its two rows --------------------------------
+
+
+def row_terms(row):
+    """A stored row as a {u-exponent: coeff} map of its nonzero terms."""
+    lo, step, coeffs = row
+    return {lo + i * step: c for i, c in enumerate(coeffs) if c}
+
+
+# Pairs of canonical rows (lo, step, coeffs), a the left operand and b the
+# right one, covering each part of the sum: a head from either row, the
+# zeros of a gap, the overlap, and a tail from either row.
+ROW_LAYOUTS = {
+    "b inside a": ((0, 1, (1, 2, 3, 4, 5)), (1, 1, (7, 8, 9))),
+    "b past the end of a": ((0, 2, (1, 2, 3)), (2, 2, (5, 6, 7, 8))),
+    "b before a, ending inside it": ((4, 1, (1, 2, 3)), (2, 1, (5, 6, 7))),
+    "b around a": ((3, 1, (1, 2)), (0, 1, (5, 6, 7, 8, 9, 4))),
+    "same span": ((0, 1, (1, 2, 3)), (0, 1, (4, 5, 6))),
+    "gap, a first": ((0, 1, (1, 2)), (6, 1, (3, 4))),
+    "gap, b first": ((8, 2, (1, 2)), (0, 2, (3, 4))),
+    "one term each, apart": ((5, 1, (3,)), (2, 1, (4,))),
+    "one term each, together": ((5, 1, (3,)), (5, 1, (4,))),
+    "steps 2 and 3 on step 1": ((0, 2, (1, 2, 3)), (1, 3, (4, 5, 6))),
+    "steps 4 and 6 on step 2": ((0, 4, (1, 2, 3)), (2, 6, (4, 5))),
+    "b spread inside a": ((0, 1, (1, 0, 2, 3, 4)), (1, 3, (5, 6))),
+    "coefficients near 2**200": ((0, 2, (BIG, -BIG, 1)), (2, 2, (BIG - 1, -BIG, BIG))),
+}
+
+
+@pytest.mark.parametrize("op", [poly.add, poly.sub], ids=["add", "sub"])
+@pytest.mark.parametrize("a, b", ROW_LAYOUTS.values(), ids=ROW_LAYOUTS)
+def test_row_sum_matches_the_sum_of_term_maps(a, b, op):
+    expected = row_terms(a)
+    for eu, c in row_terms(b).items():
+        expected[eu] = op(expected.get(eu, 0), c)
+    expected = {eu: c for eu, c in expected.items() if c}
+    out = poly._combine(a, b, op)
+    assert (row_terms(out) if out else {}) == expected
+    assert out is None or canonical(Poly2._raw({0: out}))
+
+
+# a - b == expected as stored rows, and so is a + (-b): sums that cancel
+# everywhere, at the ends (trim) or inside (re-stride).
+CANCELLING = {
+    "everything": ((2, 2, (1, -2, 3)), (2, 2, (1, -2, 3)), None),
+    "both ends": ((0, 1, (1, 2, 3, 4)), (0, 3, (1, 4)), (1, 1, (2, 3))),
+    "inside, so the step doubles": ((0, 1, (1, 1, 1)), (1, 1, (1,)), (0, 2, (1, 1))),
+    "all but one term": ((0, 1, (1, 2, 3, 4, 5)), (0, 1, (1, 2, 0, 4, 5)), (2, 1, (3,))),
+    "the head of a, after b's head": ((2, 1, (5, 6)), (0, 1, (7, 8, 5)), (0, 1, (-7, -8, 0, 6))),
+    "b's tail stays": ((0, 2, (1, 2)), (0, 2, (1, 2, 3)), (4, 1, (-3,))),
+    "near 2**200, inside": ((0, 1, (BIG, BIG, BIG)), (1, 1, (BIG,)), (0, 2, (BIG, BIG))),
+}
+
+
+@pytest.mark.parametrize("a, b, expected", CANCELLING.values(), ids=CANCELLING)
+def test_row_sum_trims_and_restrides_what_cancels(a, b, expected):
+    assert poly._combine(a, b, poly.sub) == expected
+    assert poly._combine(a, poly._negated(b), poly.add) == expected
+
+
 @given(st.one_of(polys, wide_polys(), stepped_polys()), exponent_pairs)
 def test_unit_shift_reuses_the_coefficient_tuples(p, e):
     # A shift by a monomial with coefficient 1 moves each row's low and
@@ -885,6 +945,17 @@ def one_row_term_maps(draw):
 @example({(0, 2): 11, (22, 2): -11, (2, 4): 21, (0, 6): -21})
 @example({(0, 0): -1, (22, 2): 1})
 @example({(0, 0): -11, (2, 0): -1, (0, 2): 1, (1, 1): -1})
+# A row is rendered by one `%` over all its terms, and its terms at
+# exponents 0 and 1 again: rows of several terms with +-1 at both, in either
+# view; a zero at exponent 1 beside nonzero terms at 0 and 2; coefficients
+# near 2**200 inside one row; zeros inside rows; odd (u, v) steps.
+@example({(0, 0): 1, (2, 0): -1, (4, 0): 1, (0, 2): -1, (2, 2): 1, (4, 2): -1})
+@example({(0, 1): 1, (1, 1): -1, (2, 1): 1, (0, 0): -1, (1, 0): 1, (3, 0): -1})
+@example({(0, 0): 1, (4, 0): 2, (6, 0): 1, (0, 1): -1, (2, 1): 5, (3, 1): -1})
+@example({(0, 2): BIG, (2, 2): 1 - BIG, (4, 2): BIG - 1, (6, 2): -1, (8, 2): -BIG})
+@example({(0, 2): 3, (6, 2): -1, (8, 2): 1, (2, 4): 1, (14, 4): -1})
+@example({(1, 1): 2, (4, 1): -1, (7, 1): 1, (0, 3): 1, (3, 3): 1, (6, 3): -1})
+@example({(1, 0): -1, (6, 0): 1, (11, 0): 1})
 @given(st.one_of(printable_term_maps(), one_row_term_maps()))
 def test_text_and_json_follow_the_documented_grammar(terms):
     p = Poly2(terms)
@@ -910,3 +981,25 @@ def test_text_of_many_pieces_matches_the_grammar():
 def test_ratfunc_json_is_the_dumped_object(num, den):
     r = RatFunc(num, den)
     assert ratfunc_to_json(r) == json.dumps(ratfunc_to_json_obj(r))
+
+
+def test_lambda_40_prints_as_the_grammar_says():
+    # lam(40): 21 z-rows of up to 210 terms each, coefficients of up to 33
+    # bits, +-1 at both ends of most rows.
+    lam = list(lambdas(40))[-1]
+    terms = lam.terms
+    assert to_text(lam) == reference_text(terms)
+    assert to_json(lam) == json.dumps({"vars": "qz", "terms": reference_rows(terms)})
+
+
+WRITTEN = {"zero": ZERO, "one": ONE, "-v": -V, "lam(12)": list(lambdas(12))[-1],
+           "three pieces": Poly2({(2 * i, 2 * (i % 3)): i - 7 for i in range(3 * poly._PIECE)})}
+
+
+@pytest.mark.parametrize("render", [to_text, to_json])
+@pytest.mark.parametrize("p", WRITTEN.values(), ids=WRITTEN)
+def test_written_pieces_join_to_the_returned_form(render, p):
+    pieces = []
+    assert render(p, pieces.append) is None
+    assert "".join(pieces) == render(p)
+    assert all(pieces)
