@@ -3,9 +3,9 @@
 
 Exact bivariate arithmetic suffers intermediate-expression swell, so every
 size cap is set by measurement.  The CLI's caps (`VERIFY_MAX_N`,
-`CLOSED_MAX_N`, `LU_MAX_N` and the series verbs' caps) are defined in
-`qlehmer.cli`, each with a comment that gives its reason and its measured
-worst case.  Beyond those:
+`DET_MAX_N`, `LAMBDA_MAX_N`, `LU_MAX_N` and the series verbs' caps) are
+defined in `qlehmer.cli`, each with a comment that gives its reason and its
+measured worst case.  Beyond those:
 
 * The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
   product check n <= 16) so that it stays fast; since large products go
@@ -16,8 +16,8 @@ worst case.  Beyond those:
   packing and unpacking of the entries.
 
 The recursion table times the table `tuple(lambdas(n))`, the recursion
-behind `qlehmer det` and `qlehmer lambda` (which keep only its last two
-values); beside it the closed sum `lambda_sum(n)`, whose z-rows come from
+behind `qlehmer det` (which keeps only its last two values); beside it the
+closed sum `lambda_sum(n)` behind `qlehmer lambda`, whose z-rows come from
 certified (1 - q^j) stride passes and which `qlehmer verify` checks against
 the recursion; and the last step's two kernels: the monomial shift
 z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The kernel table

@@ -4,6 +4,10 @@ Output is deterministic (identical bytes for identical arguments).  Exit
 codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage error (argparse's own convention).
 
+`lambda` prints lam(j) from the closed sum (`lehmer.lambda_sum`) and `det`
+prints det M(n) from the recursion (`lehmer.lambda_rec`): the same bytes by
+two routes that share no code, which `verify` checks against each other.
+
 Each verb imports the modules it runs when it runs, and none imports `json`
 (`poly.to_json` writes the JSON form itself): every command starts a fresh
 interpreter, and for the small ones importing more would cost more than the
@@ -40,18 +44,22 @@ def _nonneg_int(text: str) -> int:
 # sub-diagonal entry of L*U: `verify 40` takes 1.7 s, `verify 48` 5.4 s,
 # `verify 52` 8.4 s and 44 MB, and `verify 56` 15 s.
 VERIFY_MAX_N = 52
-# `det` and `lambda`: the recursion keeps two lam's at a time, so time grows
-# about as n^4 (lam(n) has about n^3/24 terms and each of the n steps passes
-# over them) and memory as n^3.  Both write their output in pieces of 16384
-# terms (`poly.to_json` and `poly.to_text` given `sys.stdout.write`), never as
-# one string.  Peaks from wait4 on a shared 2-core host, CPython 3.11: `det
-# 160 --json` 47 MB in 1.0 s, `det 200 --json` 81 MB in 2.1 s, `det 212
-# --json` 95 MB in 2.6 to 3.1 s (`lambda 212`, text, 95 MB), and past the cap
-# lam(240) in JSON 133 MB in 3.3 s.  The rendered terms still set the peak
-# (computing lam(212) alone peaks near 71 MB).  The cap was set when `det 212
-# --json` peaked at 177 MB; it now leaves more than half of the 250 MB peak
-# that CI allows as margin.
-CLOSED_MAX_N = 212
+# `det` and `lambda` print lam(n) by two routes, both written in pieces of
+# 16384 terms, one band of total degree rendered at a time (`poly.to_json`
+# and `poly.to_text` given `sys.stdout.write`), never as one string.  Peaks
+# from wait4 on a shared 2-core host, CPython 3.11.
+#
+# `det`: the recursion keeps two lam's at a time, so time grows about as n^4
+# (lam(n) has about n^3/24 terms and each of the n steps passes over them)
+# and memory as n^3.  Time binds: `det 212 --json` takes 1.7 to 2.3 s and
+# peaks at 78 MB.
+DET_MAX_N = 212
+# `lambda`: the closed sum builds lam(j) in O(j^3) stride passes, so printing
+# its terms takes most of the time and computing lam(j) sets the peak (about
+# 72 MB at j = 300).  `lambda 212` takes 0.75 s and 43 MB in either form;
+# `lambda 300` 1.9 s with --json and 2.1 s in text, 86 MB, leaving more
+# than half of the 250 MB peak that CI allows as margin.
+LAMBDA_MAX_N = 300
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
 # denominators), so its output outgrows `det`'s, but renders it twice: on
 # U's diagonal a denominator reuses the previous numerator's form.  It is
@@ -149,10 +157,19 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    """`det n` and `lambda j`: lam(n), which is det M(n) for n >= 1."""
+    """`det n`: det M(n) by the three-term recursion (`lehmer.lambda_rec`)."""
     from . import lehmer
 
     _print_poly(lehmer.lambda_rec(args.n), args.json)
+    return 0
+
+
+def _cmd_lambda(args) -> int:
+    """`lambda j`: lam(j) from the closed sum (`lehmer.lambda_sum`), which
+    shares no code with `det`'s recursion and prints the same bytes."""
+    from . import lehmer
+
+    _print_poly(lehmer.lambda_sum(args.n), args.json)
     return 0
 
 
@@ -258,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_json(sub.add_parser("lambda", help="the determinant polynomial lam(j)"))
-    p.add_argument("n", metavar="j", type=_capped(_nonneg_int, CLOSED_MAX_N, "lambda", "n",
-                                                  "its time grows about as n^4"))
-    p.set_defaults(func=_cmd_det)
+    p.add_argument("n", metavar="j", type=_capped(_nonneg_int, LAMBDA_MAX_N, "lambda", "n",
+                                                  "its output grows about as n^3"))
+    p.set_defaults(func=_cmd_lambda)
 
     p = with_json(sub.add_parser("matrix", help="the n x n Lehmer matrix bands"))
     p.add_argument("n", type=_capped(_positive_int, MATRIX_MAX_N, "matrix", "n",
@@ -268,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix)
 
     p = with_json(sub.add_parser("det", help="closed-form determinant of M(n)"))
-    p.add_argument("n", type=_capped(_positive_int, CLOSED_MAX_N, "det", "n",
+    p.add_argument("n", type=_capped(_positive_int, DET_MAX_N, "det", "n",
                                      "its time grows about as n^4"))
     p.set_defaults(func=_cmd_det)
 

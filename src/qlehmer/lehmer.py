@@ -13,10 +13,13 @@ lam(n), and at q = 1, z = -1 the family collapses to Fibonacci numbers.
 `lambda_sum` (closed sum, each binomial row from the one before by the
 certified (1 - q^j) stride kernel of `poly`) and `lambda_rec` (three-term
 recursion) share no code; tests require them to agree term for term.  The
-recursion is written once, in the generator `lambdas`, which keeps only the
-last two values: `lambda_rec(n)`, which is also det M(n), holds about three
-lam's at a time, so its memory grows as the size of lam(n) (about n^3/24
-terms), not as the whole table (about n^4).
+`lambda` verb prints `lambda_sum`, in O(j^3) passes, and `det` prints
+`lambda_rec`, in O(n^4), so the two verbs print the same bytes by the two
+routes, and `verify` checks one against the other.  The recursion is
+written once, in the generator `lambdas`, which keeps only the last two
+values: `lambda_rec(n)`, which is also det M(n), holds about three lam's at
+a time, so its memory grows as the size of lam(n) (about n^3/24 terms), not
+as the whole table (about n^4).
 """
 
 from __future__ import annotations

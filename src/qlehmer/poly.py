@@ -22,11 +22,14 @@ A row costs memory in proportion to its span divided by its step, not to
 its term count: a row with terms at u^0, u^1 and u^1000000 holds a million
 zeros.  `Poly2(terms)` and `terms` speak the flat {(eu, ev): coeff} map at
 the boundary.  Python ints are arbitrary precision, so coefficient growth is
-harmless.  Printing (`_view`) renders all terms of a row by one `%` of a
-row template repeated once per term, and hands them out in graded-lex order
-on (eu + ev, eu, ev), the order on (q + z, q, z), through one index sort;
-text and JSON differ only in template, and either form can be written in
-pieces as it is built (`to_text`, `to_json`).
+harmless.  Printing (`_view`) hands the terms out in graded-lex order on
+(eu + ev, eu, ev), the order on (q + z, q, z), one band of total degree
+eu + ev at a time: a band takes one slice of each row it meets, renders it
+by one `%` of a row template repeated once per term, and puts the band's
+terms in order by one index sort, so only one band's terms are alive at a
+time.  Text and JSON differ only in template, and either form can be
+written in pieces as it is built (`to_text`, `to_json`, as `lambda` and
+`det` print `lehmer.lambda_sum` and `lehmer.lambda_rec`).
 
 Instances are immutable by convention and no row is changed once built, so
 results share rows, and the coefficient tuples inside them, with their
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cache
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, neg, rshift, sub
 
@@ -731,56 +734,90 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
 # -- canonical text and JSON forms -------------------------------------------
 
 
+def _render(lo: int, step: int, coeffs: tuple[int, ...], at) -> list[str]:
+    """The nonzero terms of the row piece (lo, step, coeffs), rendered in u
+    order by one `%` of the pair template `at[2]` repeated once per term and
+    one `splitlines` (no term holds a line break); the terms at exponents 0
+    and 1 are redone from `at[0]` and `at[1]`."""
+    nonzero = list(filter(None, coeffs))
+    pairs = [0] * (2 * len(nonzero))
+    pairs[at[3]::2] = nonzero
+    exps = range(lo, lo + len(coeffs) * step, step)
+    pairs[1 - at[3]::2] = exps if len(nonzero) == len(coeffs) else compress(exps, coeffs)
+    terms = (at[2] * len(nonzero) % tuple(pairs)).splitlines()
+    if lo < 2:
+        for i, e in enumerate(compress(range(lo, 2, step), coeffs)):  # term i, at e < 2
+            terms[i] = at[e] % nonzero[i]
+    return terms
+
+
 def _view(p: Poly2, templates) -> tuple[bool, Iterator[str]]:
     """Whether p prints in the (q, z) view, and its terms rendered, in order.
 
     The (q, z) view is taken when every exponent is even, with exponents
-    halved.  `templates(qz, b)` gives a row's `%` templates: one over the
-    coefficient at exponents 0 and 1 of its varying variable, one over a
-    (coefficient, exponent) pair above them that ends in a newline, and the
-    coefficient's place in that pair; b is the row's z- or v-exponent.  A
-    row is rendered by one `%` of the pair template, repeated once per
-    nonzero term, over the row's interleaved pairs, and one `splitlines`
-    (no term holds a line break); its terms at exponents 0 and 1 are redone.
-    One index sort over int keys gives graded-lex order: (u + v) * span + u,
-    span above every u-exponent, orders as (u + v, u), which fixes v, so as
-    (q + z, q, z).  A row's keys, v * span + u * (span + 1), are one range
-    cut by `compress`; they are dropped before any term is rendered, and the
-    sorted indices are kept as machine words in an `array`.  The rendered
-    terms stay in the one list they were rendered into and are handed out
-    through those indices; one row is already in order.
+    halved.  `templates(qz, b)` gives a row's `%` templates for `_render`:
+    one over the coefficient at exponents 0 and 1 of its varying variable,
+    one over a (coefficient, exponent) pair above them that ends in a
+    newline, and the coefficient's place in that pair; b is the row's z- or
+    v-exponent.  One row is already in order.  Several rows come one band of
+    total degree at a time (`_bands`), so that only one band's terms are
+    alive at once; each iterator lets go of its terms when it runs out.
     """
     rows = p._rows
     qz = all(ev % 2 == 0 and row[0] % 2 == 0 and _stride(row) % 2 == 0
              for ev, row in rows.items())
-    order = None
     if len(rows) > 1:
-        from array import array
+        return qz, chain.from_iterable(_bands(rows, qz, templates))
+    if not rows:
+        return qz, iter(())
+    shift = 1 if qz else 0
+    (ev, (lo, step, coeffs)), = rows.items()
+    return qz, iter(_render(lo >> shift, step >> shift or 1, coeffs, templates(qz, ev >> shift)))
 
-        span = 1 + max(lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values())
+
+def _bands(rows: Rows, qz: bool, templates) -> Iterator[Iterator[str]]:
+    """The terms of several rows in graded-lex order, one band at a time.
+
+    Graded-lex order is (u + v, u), which fixes v, so (q + z, q, z).  Along
+    a row t = u + v grows, so a band T <= t < T + width takes one slice from
+    each row it meets; the width gives a band about `_PIECE` of the rows'
+    stored coefficients.  Rows enter a band in order of their lowest t and
+    leave after their highest, so each band visits only the rows it meets.
+    A band's slices are rendered by `_render` and put in order by one index
+    sort over int keys, (u + v) * span + u with span above every u-exponent,
+    that is v * span + u * (span + 1): one range per slice, cut by
+    `compress`.  The keys go before the band is handed out, and the sorted
+    indices are kept as machine words in an `array`, not as int objects left
+    among the rendered terms.  A band's terms go when the next band starts.
+    """
+    from array import array
+
+    shift = 1 if qz else 0
+    span = 1 + max(lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values())
+    # (lowest t, highest t, v, row) per row, the next row to enter last.
+    waiting = sorted(((ev + lo, ev + lo + (len(coeffs) - 1) * step, ev, (lo, step, coeffs))
+                      for ev, (lo, step, coeffs) in rows.items()), reverse=True)
+    first, last = waiting[-1][0], max(row[1] for row in waiting)
+    width = max(1, (last + 1 - first) * _PIECE // sum(len(row[2]) for row in rows.values()))
+    active: list[tuple[int, int, int, Row]] = []
+    for low in range(first, last + 1, width):
+        high = low + width  # this band is low <= u + v < high
+        while waiting and waiting[-1][0] < high:
+            active.append(waiting.pop())
         keys: list[int] = []
-        for ev, (lo, step, coeffs) in rows.items():
-            start = ev * span + lo * (span + 1)
-            keys += compress(range(start, start + len(coeffs) * step * (span + 1),
-                                   step * (span + 1)), coeffs)
+        terms: list[str] = []
+        for t, _, ev, (lo, step, coeffs) in active:
+            start = max(0, -((t - low) // step))  # the first index at u + v >= low
+            part = coeffs[start:-((t - high) // step)]
+            lo += start * step
+            key = ev * span + lo * (span + 1)
+            keys += compress(range(key, key + len(part) * step * (span + 1), step * (span + 1)),
+                             part)
+            terms += _render(lo >> shift, step >> shift or 1, part, templates(qz, ev >> shift))
+        active = [row for row in active if row[1] >= high]
         order = array("L", sorted(range(len(keys)), key=keys.__getitem__))
         del keys
-    shift = 1 if qz else 0
-    terms: list[str] = []
-    for ev, (lo, step, coeffs) in rows.items():
-        lo, step = lo >> shift, step >> shift or 1
-        at = templates(qz, ev >> shift)
-        nonzero = list(filter(None, coeffs))
-        pairs = [0] * (2 * len(nonzero))
-        pairs[at[3]::2] = nonzero
-        exps = range(lo, lo + len(coeffs) * step, step)
-        pairs[1 - at[3]::2] = exps if len(nonzero) == len(coeffs) else compress(exps, coeffs)
-        first = len(terms)
-        terms += (at[2] * len(nonzero) % tuple(pairs)).splitlines()
-        if lo < 2:
-            for i, e in enumerate(compress(range(lo, 2, step), coeffs)):  # term i, at e < 2
-                terms[first + i] = at[e] % nonzero[i]
-    return qz, iter(terms) if order is None else map(terms.__getitem__, order)
+        yield map(terms.__getitem__, order)
 
 
 @cache  # one row template per (view, z-exponent), however many rows print

@@ -41,7 +41,26 @@ def test_det_3():
 
 
 def test_lambda_matches_det():
-    assert run("lambda", "5") == run("det", "5")
+    # `lambda` prints the closed sum and `det` the recursion, two routes that
+    # share no code; both forms must agree byte for byte.
+    for n in [*range(1, 61), 112]:
+        for form in ((), ("--json",)):
+            assert run("lambda", str(n), *form) == run("det", str(n), *form), (n, form)
+
+
+def test_lambda_runs_no_ring_arithmetic_and_no_recursion(monkeypatch):
+    # `lambda` prints `lambda_sum`, which builds each z-row on dense q-lists:
+    # with Poly2 sums, differences and products and the recursion made to
+    # raise, it still prints lam(30).
+    expected = run("det", "30")
+
+    def forbidden(*args):
+        raise AssertionError("lambda ran ring arithmetic or the recursion")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__"):
+        monkeypatch.setattr(Poly2, name, forbidden)
+    monkeypatch.setattr(lehmer, "lambdas", forbidden)
+    assert run("lambda", "30") == expected
 
 
 def test_qbinom():
@@ -160,8 +179,8 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("verb, size, cap", [
-    ("det", str(cli.CLOSED_MAX_N + 1), cli.CLOSED_MAX_N),
-    ("lambda", str(cli.CLOSED_MAX_N + 1), cli.CLOSED_MAX_N),
+    ("det", str(cli.DET_MAX_N + 1), cli.DET_MAX_N),
+    ("lambda", str(cli.LAMBDA_MAX_N + 1), cli.LAMBDA_MAX_N),
     ("lu", str(cli.LU_MAX_N + 1), cli.LU_MAX_N),
     ("matrix", str(cli.MATRIX_MAX_N + 1), cli.MATRIX_MAX_N),
 ])
@@ -169,7 +188,7 @@ def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkey
     def forbidden(*args):
         raise AssertionError(f"{verb} computed past its cap")
 
-    for name in ("lambdas", "lambda_rec", "closed_factors", "lehmer_matrix"):
+    for name in ("lambdas", "lambda_rec", "lambda_sum", "closed_factors", "lehmer_matrix"):
         monkeypatch.setattr(lehmer, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
@@ -183,8 +202,9 @@ def test_closed_caps_admit_the_benchmarked_sizes():
     # 128 is the largest det the benchmark's own tests run; 112 and 96 are
     # the sizes of its workload.  Parse only: nothing is computed.
     parser = cli.build_parser()
-    for n in (96, 112, 128, cli.CLOSED_MAX_N):
+    for n in (96, 112, 128, cli.DET_MAX_N):
         assert parser.parse_args(["det", str(n), "--json"]).n == n
+    for n in (96, 112, 128, cli.DET_MAX_N, cli.LAMBDA_MAX_N):
         assert parser.parse_args(["lambda", str(n)]).n == n
     assert parser.parse_args(["lu", str(cli.LU_MAX_N)]).n == cli.LU_MAX_N
     assert parser.parse_args(["matrix", str(cli.MATRIX_MAX_N), "--json"]).n == cli.MATRIX_MAX_N

@@ -3,12 +3,14 @@
 import json
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlehmer import poly
+from qlehmer import lehmer, poly
 from qlehmer.lehmer import lambdas
 from qlehmer.poly import (
     ONE,
@@ -975,6 +977,61 @@ def test_text_of_many_pieces_matches_the_grammar():
     p = Poly2(terms)
     assert to_text(p) == reference_text(terms)
     assert to_json(p) == json.dumps({"vars": "qz", "terms": reference_rows(terms)})
+
+
+@st.composite
+def many_row_term_maps(draw):
+    """Two to eight rows, which `_view` hands out one band of total degree at
+    a time: each row at its own v-exponent, with a low of 0 to 12 (so terms
+    at exponents 0 and 1 in any row), a step of 1 to 4, zeros inside it and
+    coefficients of either sign; all exponents even or not."""
+    terms = {}
+    for ev in draw(st.sets(st.integers(0, 12), min_size=2, max_size=8)):
+        lo, step = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+        coeffs = draw(st.lists(st.one_of(st.just(0), text_coeffs), min_size=1, max_size=12))
+        terms.update({(lo + i * step, ev): c for i, c in enumerate(coeffs) if c})
+    if draw(st.booleans()):
+        return {(2 * eu, 2 * ev): c for (eu, ev), c in terms.items()}
+    return terms
+
+
+@pytest.mark.parametrize("piece", [poly._PIECE, 3])
+@example({(0, 0): 1, (1, 1): -1, (0, 3): 2, (1, 3): -1, (9, 3): 1})
+@example({(0, 0): -1, (0, 2): 1, (2, 2): -1, (4, 4): 1, (0, 6): 1, (2, 6): 11})
+@example({(3, 0): 5, (9, 0): -1, (0, 5): 1, (1, 5): 1, (20, 1): -7, (4, 2): 1})
+@given(many_row_term_maps())
+def test_bands_of_many_rows_follow_the_grammar(piece, terms):
+    # Checked against a reference that sorts every term on (u + v, u), also
+    # with pieces of 3 terms, so that bands of about 3 terms and pieces cross.
+    with mock.patch.object(poly, "_PIECE", piece):
+        p = Poly2(terms)
+        assert to_text(p) == reference_text(terms)
+        variables = "uv" if any(eu % 2 or ev % 2 for eu, ev in terms) else "qz"
+        assert to_json(p) == json.dumps({"vars": variables, "terms": reference_rows(terms)})
+
+
+def test_printing_holds_a_band_not_the_whole_output():
+    # lam(150) prints 4.8 MB of JSON.  With pieces and bands of 1024 terms
+    # the memory printing takes beyond the polynomial is bounded by a few
+    # pieces, well under a quarter of the output; holding every rendered
+    # term until the end would take about three times the output.
+    lam = lehmer.lambda_sum(150)
+    size = 0
+
+    def discard(piece):
+        nonlocal size
+        size += len(piece)
+
+    with mock.patch.object(poly, "_PIECE", 1024):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            to_json(lam, discard)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert size == len(to_json(lam))
+    assert peak < size / 4, (peak, size)
 
 
 @given(polys, nonzero_polys)
