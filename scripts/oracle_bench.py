@@ -10,8 +10,8 @@ measured worst case.  Beyond those:
 * The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
   product check n <= 16) so that it stays fast; since large products go
   through Kronecker substitution these routes take well under a second there.
-* Bareiss runs up to n = 16 in the tests (about 0.13 s there) and stays out
-  of `verify`: at n = 22 it takes about 0.75 s, over ten times the four
+* Bareiss runs up to n = 16 in the tests (about 0.05 to 0.1 s there) and stays out
+  of `verify`: at n = 22 it takes about 0.4 to 0.6 s, over ten times the four
   checks of `verify 22`.  Since `exact_div` divides packed ints, its cost sits in the
   packing and unpacking of the entries.
 

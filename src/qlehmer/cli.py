@@ -41,8 +41,9 @@ def _nonneg_int(text: str) -> int:
 #
 # `verify`: the checks cost about n^6.  Most pairs share a denominator (see
 # `qlehmer.poly`), so the time goes into two lam(j-1) * lam(j) products per
-# sub-diagonal entry of L*U: `verify 40` takes 1.7 s, `verify 48` 5.4 s,
-# `verify 52` 8.4 s and 44 MB, and `verify 56` 15 s.
+# sub-diagonal entry of L*U: `verify 40` takes 0.9 to 1.2 s, `verify 48`
+# 3.1 to 4.2 s, `verify 52` 5.1 to 7.9 s and 23 MB, and `verify 56` 12 to
+# 13 s and 25 MB.
 VERIFY_MAX_N = 52
 # `det` and `lambda` print lam(n) by two routes, both written in pieces of
 # 16384 terms, one band of total degree rendered at a time (`poly.to_json`
@@ -69,12 +70,12 @@ LAMBDA_MAX_N = 300
 # --json.
 LU_MAX_N = 88
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
-# the worst k is n/2, where `qbinom 176 88` takes 3.4 s and 20 MB and
-# `qbinom 200 100` 9.0 s and 22 MB.
+# the worst k is n/2, where `qbinom 176 88` takes 3.0 s and 20 MB and
+# `qbinom 200 100` 8.3 s and 22 MB.
 QBINOM_MAX_N = 200
 # `stabilize`: computes [n-k k]_q like `qbinom`, so the worst k lies between
-# n/4 and n/3; `stabilize 220 62` takes 2.4 s and `stabilize 290 97` 4.9 to
-# 5.0 s and 22 MB.  Above n = 292 the largest quotient coefficients need one
+# n/4 and n/3; `stabilize 220 62` takes 2.2 s and `stabilize 290 97` 4.6 to
+# 4.9 s and 22 MB.  Above n = 292 the largest quotient coefficients need one
 # more width doubling in `exact_div`, so its division runs on digits twice as
 # wide: `stabilize 300 85` takes 18 s.
 STABILIZE_MAX_N = 290
@@ -85,7 +86,7 @@ STABILIZE_MAX_N = 290
 LIMIT_MAX_ZDEG = 60
 LIMIT_MAX_QDEG = 10000
 # `dyck`: 2m steps over min(m, h) + 1 heights of growing counts; `dyck 3600
-# 3600` takes 8.7 s, `dyck 4000 4000` 12.8 s.
+# 3600` takes 3.5 to 4.5 s, `dyck 4000 4000` 5.3 to 5.5 s.
 DYCK_MAX_M = 3600
 # `matrix`: builds all 3n - 2 entries and prints them; `matrix 300000` takes
 # 5 to 7.5 s and 140 MB in either form.
@@ -192,7 +193,7 @@ def _cmd_lu(args) -> int:
     from .poly import to_json, to_text
 
     f = lehmer.closed_factors(args.n)
-    if args.json:  # the bytes of `ratfunc_to_json` and of `str` on a RatFunc
+    if args.json:  # the bytes of `json.dumps(ratfunc_to_json_obj(r))` and of `str(r)`
         render, fraction = to_json, '{{"num": {}, "den": {}}}'.format
     else:
         render, fraction = to_text, lambda num, den: num if den == "1" else f"({num})/({den})"

@@ -13,9 +13,9 @@ the bands, is the independent determinant oracle.
 the closed sum `lambda_sum` against the recursion; its only polynomial
 divisions are `lambda_sum`'s exact ones by 1 - q^j.  It skips `det_bareiss`,
 whose n^3/3 calls of `exact_div` (3311 at n = 22, most of them on a zero
-entry) and the products feeding them take about 0.75 s at n = 22 on a shared
-2-core host, against about 0.06 s for all four checks of `verify 22` in the
-same process, so adding it would make `verify` over ten times slower.  The
+entry) and the products feeding them take about 0.4 to 0.6 s at n = 22 on a
+shared 2-core host, against about 0.035 s for all four checks of `verify 22`
+in the same process, so adding it would make `verify` over ten times slower.  The
 tests run it up to n = 16.
 """
 

@@ -53,9 +53,12 @@ once, when the product's exponent box has no more digits than there are
 term pairs, and else convolves the rows pairwise.
 
 `exact_div` packs in the same layout and divides once with `divmod`; a
-nonzero remainder proves that the divisor does not divide.  The quotient is
-unpacked and returned only after an exact certificate that it times the
-divisor is the dividend, at a digit width bounded by Mignotte's inequality.
+nonzero remainder proves that the divisor does not divide.  Every
+coefficient packed, by either, fits one digit: the multiply sizes its digit
+to the product, and `exact_div` starts at the first width that holds both
+operands.  The quotient is unpacked and returned only after an exact
+certificate that it times the divisor is the dividend, at a digit width
+bounded by Mignotte's inequality.
 
 `RatFunc` is the quotient-field layer: a num/den pair of polynomials with
 den != 0, never reduced by GCD.  Equality and sums cross-multiply only when
@@ -68,7 +71,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, isqrt
-from operator import add, neg, rshift, sub
+from operator import add, neg, sub
 
 
 Exponents = tuple[int, int]
@@ -384,41 +387,25 @@ def _pack(rows: Rows, low: Exponents, step: Exponents, row: int, nrows: int,
 
     The reduced exponent pair (i, k) = ((eu - low_u) / su, (ev - low_v) / sv)
     with k < nrows goes to the power X**(k * row + i), so a packed row of
-    `row` digits holds one row of the map.  Each digit is written biased by
-    half its range, so a row is one `bytes.join` of `to_bytes` over its
-    coefficients plus that bias (a row whose step is a multiple of su is
-    first spread to the grid), and the bias of all nrows * row digits is
-    subtracted once.  A coefficient c wider than a digit is split as
-    c + half = low + X * carry with 0 <= low < X: `low` is the digit, and
-    the carries are packed the same way one digit up, layer after layer
-    until none is left.
+    `row` digits holds one row of the map.  Every coefficient must fit one
+    balanced digit, -X/2 <= c < X/2: it is written biased by X/2, so a row
+    is one `bytes.join` of `to_bytes` over its coefficients plus that bias
+    (a row whose step is a multiple of su is first spread to the grid), and
+    the bias of all nrows * row digits is subtracted once.  A coefficient
+    outside its digit makes `to_bytes` raise OverflowError.
     """
     (lu, lv), (su, sv) = low, step
-    bits = 8 * width
-    half = 1 << (bits - 1)
+    half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
-    bias = int.from_bytes(zero * (nrows * row), "little")
+    data = bytearray(zero * (nrows * row))
     to_bytes, lengths, orders = int.to_bytes, repeat(width), repeat("little")
-    value = up = 0
-    while rows:
-        data = bytearray(zero * (nrows * row))
-        wide = _max_abs(rows) >= half
-        carries = {}
-        for ev, (lo, rstep, coeffs) in rows.items():
-            if rstep != su and len(coeffs) > 1:
-                coeffs = _spread(coeffs, rstep // su)
-            biased = map(half.__add__, coeffs)
-            if wide:
-                biased = list(biased)
-                carry = list(map(rshift, biased, repeat(bits)))
-                if any(carry):
-                    carries[ev] = (lo, su, carry)
-                biased = map((2 * half - 1).__and__, biased)  # c + half mod X
-            at = ((ev - lv) // sv * row + (lo - lu) // su) * width
-            data[at:at + len(coeffs) * width] = b"".join(map(to_bytes, biased, lengths, orders))
-        value += (int.from_bytes(data, "little") - bias) << up
-        rows, up = carries, up + bits
-    return value
+    for ev, (lo, rstep, coeffs) in rows.items():
+        if rstep != su and len(coeffs) > 1:
+            coeffs = _spread(coeffs, rstep // su)
+        at = ((ev - lv) // sv * row + (lo - lu) // su) * width
+        data[at:at + len(coeffs) * width] = b"".join(
+            map(to_bytes, map(half.__add__, coeffs), lengths, orders))
+    return int.from_bytes(data, "little") - int.from_bytes(zero * (nrows * row), "little")
 
 
 def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
@@ -516,12 +503,14 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
     the quotient's reduced u- and v-ranges are those of a minus those of b;
     a lowest monomial of a not divisible by that of b, or a b spanning more
     than a, raises at once.  Then a and b are packed at digit width w, with
-    rows as wide as a's u-range, and one `divmod` gives the quotient.  The
-    packing is a ring map to Z, so b | a implies that the packed b divides
-    the packed a, and a nonzero remainder raises.  The quotient is unpacked
-    in balanced digits, which are the quotient's coefficients when w holds
-    them, and certified exactly by the ring's own product: c*b == a.  A
-    failed certificate doubles w.
+    rows as wide as a's u-range, and one `divmod` gives the quotient.  Every
+    packed coefficient fits one digit: w starts at the width of b's largest
+    coefficient and doubles until it holds a's too.  The packing is a ring
+    map to Z, so b | a implies that the packed b divides the packed a, and a
+    nonzero remainder raises.  The quotient is unpacked in balanced digits,
+    which are the quotient's coefficients when w holds them, and certified
+    exactly by the ring's own product: c*b == a.  A failed certificate
+    doubles w.
 
     A true quotient c is a divisor of degree at most d of the packed a (read
     as a polynomial in X = 2**(8w)), so by Mignotte's inequality (M.
@@ -529,8 +518,9 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
     1974) its coefficients are at most 2**d * ||a||_2.  Once w holds twice
     that bound, a true quotient unpacks with every digit below a quarter of
     the digit range and passes its certificate, so anything else raises.
-    Below that width a quotient with a digit in the top quarter is taken as
-    wrapped and w doubles without a certificate.
+    That width caps w; it holds a, since ||a||_2 >= max|a|.  Below it a
+    quotient with a digit in the top quarter is taken as wrapped and w
+    doubles without a certificate.
     """
     if b.is_zero:
         raise ExactDivisionError("division by the zero polynomial")
@@ -547,10 +537,12 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
     if cols < 1 or rows < 1:
         raise ExactDivisionError("divisor spans more than the dividend")
     rows_a, rows_b = span_a[1] + 1, span_b[1] + 1
-    a_max, b_max = _max_abs(ta), _max_abs(tb)
+    b_max = _max_abs(tb)
     norm = isqrt(sum(c * c for _, _, coeffs in ta.values() for c in coeffs)) + 1  # exceeds ||a||_2
     cap = _width(norm << ((rows - 1) * row + cols))  # 2**d * norm, doubled
-    width = _width(b_max)
+    width, a_width = _width(b_max), _width(_max_abs(ta))
+    while width < a_width:  # ends: cap >= a_width
+        width = min(2 * width, cap)
     while True:
         quot, rem = divmod(_pack(ta, low_a, step, row, rows_a, width),
                            _pack(tb, low_b, step, row, rows_b, width))
@@ -562,11 +554,11 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
         if tc:
             c_max = _max_abs(tc)
             if 4 * c_max < 1 << (8 * width):
-                # When w holds every coefficient of c*b and of a, packing is
-                # injective on them, so c*b == a follows from quot * pb == pa,
+                # When w holds every coefficient of c*b (it holds a's), packing
+                # is injective on them, so c*b == a follows from quot * pb == pa,
                 # which the divmod has shown, since c packs back to quot.
                 c = Poly2._raw(tc)
-                sure = _width(max(min(_size(tc), _size(tb)) * c_max * b_max, a_max))
+                sure = _width(min(_size(tc), _size(tb)) * c_max * b_max)
                 if sure <= width or c * b == a:
                     return c
         if width >= cap:
@@ -929,11 +921,6 @@ def from_json_obj(obj: Mapping) -> Poly2:
             raise ValueError(f"duplicate exponent pair {e}")
         out[e] = int(coeff)
     return Poly2(out)
-
-
-def ratfunc_to_json(r: RatFunc) -> str:
-    """The bytes of `json.dumps(ratfunc_to_json_obj(r))`."""
-    return f'{{"num": {to_json(r.num)}, "den": {to_json(r.den)}}}'
 
 
 def ratfunc_to_json_obj(r: RatFunc) -> dict:

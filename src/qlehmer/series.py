@@ -31,7 +31,7 @@ CLI command starts a fresh interpreter: `dyck_count` loads none of them,
 from __future__ import annotations
 
 from collections import deque
-from operator import neg
+from operator import add, neg
 
 
 def invert_poch(k: int, trunc: int) -> Poly2:
@@ -130,19 +130,9 @@ def dyck_count(m: int, h: int) -> int:
     """
     if m < 0 or h < 0:
         raise ValueError("arguments must be nonnegative")
-    h = min(h, m)
-    ways = [0] * (h + 1)
-    ways[0] = 1
-    for _ in range(2 * m):
-        nxt = [0] * (h + 1)
-        for y, w in enumerate(ways):
-            if not w:
-                continue
-            if y + 1 <= h:
-                nxt[y + 1] += w
-            if y - 1 >= 0:
-                nxt[y - 1] += w
-        ways = nxt
+    ways = [1] + [0] * min(h, m)  # ways[y]: paths so far that end at height y
+    for _ in range(2 * m):  # one step up from y - 1 or down from y + 1
+        ways = list(map(add, [0, *ways[:-1]], [*ways[1:], 0]))
     return ways[0]
 
 

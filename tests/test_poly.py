@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -27,14 +28,13 @@ from qlehmer.poly import (
     q_poly,
     qz_terms,
     ratfunc_eq,
-    ratfunc_to_json,
-    ratfunc_to_json_obj,
     to_json,
     to_json_obj,
     to_text,
     z_pow,
 )
-from qlehmer.qcomb import poch_qq
+from qlehmer.linalg import det_bareiss
+from qlehmer.qcomb import gauss_product, poch_qq
 
 U = Poly2.monomial(1, 1, 0)
 V = Poly2.monomial(1, 0, 1)
@@ -611,31 +611,31 @@ def packings(draw):
     holds it.  Cells are drawn on the layout's own grid, so a row whose
     cells are 3 apart is stored at step 3 * su and packed spread to su, and
     a sparse draw leaves one-term rows.  Coefficients run from single digits
-    of either sign, through the edges of a digit's balanced range, to
-    several digits wide."""
+    of either sign to the edges of a digit's balanced range."""
     width = draw(st.integers(1, 9))
     low = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
     step = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     row, nrows = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     half = 1 << (8 * width - 1)
-    edges = st.builds(lambda sign, digits, delta: sign * ((half << (8 * width * digits)) + delta),
-                      st.sampled_from([1, -1]), st.integers(0, 2), st.integers(-1, 1))
-    coeffs = st.one_of(st.integers(-9, 9), edges, st.integers(-2**250, 2**250)).filter(bool)
+    edges = st.sampled_from([-half, 1 - half, half - 2, half - 1])
+    coeffs = st.one_of(st.integers(-9, 9), edges, st.integers(-half, half - 1)).filter(bool)
     cells = draw(st.dictionaries(st.tuples(st.integers(0, row - 1), st.integers(0, nrows - 1)),
                                  coeffs, min_size=1, max_size=20))
     terms = {(low[0] + step[0] * i, low[1] + step[1] * k): c for (i, k), c in cells.items()}
     return Poly2(terms), (low, step, row, nrows, width), cells
 
 
-# A coefficient of 9510 bits spans 1189 one-byte digits, more layers of
-# carries than Python's default recursion limit.
-@example((Poly2({(0, 0): 3**6000, (1, 0): -5}), ((0, 0), (1, 1), 2, 1, 1),
-          {(0, 0): 3**6000, (1, 0): -5}))
 @given(packings())
 def test_pack_is_the_sum_of_terms_at_x(drawn):
     p, (low, step, row, nrows, width), cells = drawn
     direct = sum(c << (8 * width * (k * row + i)) for (i, k), c in cells.items())
     assert poly._pack(p._rows, low, step, row, nrows, width) == direct
+
+
+@pytest.mark.parametrize("c", [1 << 15, -(1 << 15) - 1])
+def test_pack_rejects_a_coefficient_past_its_digit(c):
+    with pytest.raises(OverflowError):
+        poly._pack({0: (0, 1, (1, c))}, (0, 0), (1, 1), 2, 1, 2)
 
 
 @given(packings())
@@ -650,6 +650,39 @@ def test_unpack_inverts_pack_where_the_digits_hold(drawn):
 
 
 # -- exact division, packed in the multiply's layout ---------------------------
+
+
+@contextmanager
+def one_digit_packs():
+    """Wrap `_pack` to assert that each coefficient it packs fits one
+    balanced digit, -2**(8w-1) <= c < 2**(8w-1); yields the widths packed."""
+    widths, pack = [], poly._pack
+
+    def checked(rows, low, step, row, nrows, width):
+        half = 1 << (8 * width - 1)
+        assert all(-half <= c < half for _, _, coeffs in rows.values() for c in coeffs)
+        widths.append(width)
+        return pack(rows, low, step, row, nrows, width)
+
+    with mock.patch.object(poly, "_pack", checked):
+        yield widths
+
+
+def test_division_and_elimination_pack_one_digit_per_coefficient():
+    m = lehmer.lehmer_matrix(8)
+    with one_digit_packs() as widths:
+        # The dividend of [80 20]_q is wider than the divisor's first digit.
+        assert eval_qz(gauss_product(80, 20), 1, 1) == math.comb(80, 20)
+        assert det_bareiss([[m.entry(i, j) for j in range(8)] for i in range(8)]) == lehmer.lambda_rec(8)
+    assert widths
+
+
+@settings(max_examples=6, deadline=None)
+@given(wide_polys(), wide_polys())
+def test_exact_div_packs_one_digit_per_coefficient(a, b):
+    with one_digit_packs() as widths:
+        assert exact_div(a * b, b) == a
+    assert widths
 
 
 # CPython 3.10 and 3.11 divide ints in time quadratic in their length, and a
@@ -1032,12 +1065,6 @@ def test_printing_holds_a_band_not_the_whole_output():
             tracemalloc.stop()
     assert size == len(to_json(lam))
     assert peak < size / 4, (peak, size)
-
-
-@given(polys, nonzero_polys)
-def test_ratfunc_json_is_the_dumped_object(num, den):
-    r = RatFunc(num, den)
-    assert ratfunc_to_json(r) == json.dumps(ratfunc_to_json_obj(r))
 
 
 def test_lambda_40_prints_as_the_grammar_says():

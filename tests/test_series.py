@@ -1,6 +1,7 @@
 """Limit series, stabilization degrees, and the bounded-height Dyck check."""
 
 import math
+from itertools import accumulate, product
 
 import pytest
 
@@ -200,6 +201,19 @@ class TestDyckCount:
         for m in range(8):
             for h in range(m + 1, m + 4):
                 assert dyck_count(m, h) == dyck_count(m, m), (m, h)
+
+    def test_height_zero_admits_only_the_empty_path(self):
+        for m in range(1, 6):
+            assert dyck_count(m, 0) == 0
+
+    def test_matches_every_step_sequence_up_to_half_length_6(self):
+        # Brute force over all 2^(2m) sequences of +-1 steps.
+        for m in range(7):
+            heights = [list(accumulate(steps)) for steps in product((1, -1), repeat=2 * m)]
+            for h in range(m + 2):
+                paths = sum(1 for hs in heights
+                            if (not hs or hs[-1] == 0) and all(0 <= y <= h for y in hs))
+                assert dyck_count(m, h) == paths, (m, h)
 
 
 class TestDyckGf:
