@@ -2,7 +2,8 @@
 
 Output is deterministic (identical bytes for identical arguments).  Exit
 codes: 0 success or all checks passed, 1 a verification check failed,
-2 usage error (argparse's own convention).
+2 usage error (anything `parse_args` cannot read against the `VERBS`
+table), 141 stdout closed before the output was written (128 + SIGPIPE).
 
 `lambda` prints lam(j) from the closed sum (`lehmer.lambda_sum`) and `det`
 prints det M(n) from the recursion (`lehmer.lambda_rec`): the same bytes by
@@ -11,33 +12,20 @@ two routes that share no code, which `verify` checks against each other.
 Each verb imports the modules it runs when it runs, and none imports `json`
 (`poly.to_json` writes the JSON form itself): every command starts a fresh
 interpreter, and for the small ones importing more would cost more than the
-work.  So `qlehmer --help` loads no module of the package besides this
-one, `qbinom` none of `lehmer`, `linalg` or `series`, `dyck` only `series`,
-and `limit` neither `lehmer` nor `qcomb`.
+work.  So `qlehmer --help` reads the `VERBS` table and loads no module
+the bare interpreter lacks but this one (no `argparse`, hence no `gettext`
+or `locale`), `qbinom` none of `lehmer`, `linalg` or `series`, `dyck` only
+`series`, and `limit` neither `lehmer` nor `qcomb`.
 """
 
-from __future__ import annotations
-
-import argparse
+import os
 import sys
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+from types import SimpleNamespace
 
 
 # Largest sizes the verbs accept; larger ones are refused with exit 2 before
-# any work starts.  Times and peak memory are from a shared 2-core host.
+# any work starts.  Times and peaks (from wait4) are from a shared 2-core
+# host, CPython 3.11.
 #
 # `verify`: the checks cost about n^6.  Most pairs share a denominator (see
 # `qlehmer.poly`), so the time goes into two lam(j-1) * lam(j) products per
@@ -47,8 +35,7 @@ def _nonneg_int(text: str) -> int:
 VERIFY_MAX_N = 52
 # `det` and `lambda` print lam(n) by two routes, both written in pieces of
 # 16384 terms, one band of total degree rendered at a time (`poly.to_json`
-# and `poly.to_text` given `sys.stdout.write`), never as one string.  Peaks
-# from wait4 on a shared 2-core host, CPython 3.11.
+# and `poly.to_text` given `sys.stdout.write`), never as one string.
 #
 # `det`: the recursion keeps two lam's at a time, so time grows about as n^4
 # (lam(n) has about n^3/24 terms and each of the n steps passes over them)
@@ -62,12 +49,11 @@ DET_MAX_N = 212
 # than half of the 250 MB peak that CI allows as margin.
 LAMBDA_MAX_N = 300
 # `lu`: prints every lam(j), j < n, three times (a numerator of U and two
-# denominators), so its output outgrows `det`'s, but renders it twice: on
-# U's diagonal a denominator reuses the previous numerator's form.  It is
-# written in pieces, and the factors share their coefficient tuples with
-# the lam table.  Time binds first, most of it printing: `lu 88` takes 1.9
-# to 2.0 s and 50 MB in text form and 1.3 to 1.8 s and 50 to 51 MB with
-# --json.
+# denominators), so its output outgrows `det`'s, but renders it twice: on U's
+# diagonal a denominator reuses the previous numerator's form.  It is written
+# in pieces, and the factors share their coefficient tuples with the lam
+# table.  Time binds first, most of it printing: `lu 88` takes 1.9 to 2.0 s
+# and 50 MB in text form and 1.3 to 1.8 s and 50 to 51 MB with --json.
 LU_MAX_N = 88
 # `qbinom`: one exact division of a k-factor product by (q;q)_k, k <= n/2;
 # the worst k is n/2, where `qbinom 176 88` takes 3.0 s and 20 MB and
@@ -91,18 +77,6 @@ DYCK_MAX_M = 3600
 # `matrix`: builds all 3n - 2 entries and prints them; `matrix 300000` takes
 # 5 to 7.5 s and 140 MB in either form.
 MATRIX_MAX_N = 300000
-
-
-def _capped(parse, cap: int, verb: str, arg: str, why: str):
-    """An argparse type: `parse`, then refuse values of `arg` above `cap`."""
-    def size(text: str) -> int:
-        value = parse(text)
-        if value > cap:
-            raise argparse.ArgumentTypeError(
-                f"{verb} is limited to {arg} <= {cap} ({why}), got {text}")
-        return value
-    size.__name__ = parse.__name__  # argparse names the type in its messages
-    return size
 
 
 def _print_poly(value, as_json: bool) -> None:
@@ -215,8 +189,7 @@ def _cmd_limit(args) -> int:
     from .poly import to_json, to_text
 
     coeffs = series.limit_det(args.zdeg, args.qdeg)
-    if args.json:
-        # The bytes of json.dumps on the whole object, written in pieces.
+    if args.json:  # the bytes of json.dumps on the whole object, written in pieces
         sys.stdout.write(f'{{"z_trunc": {args.zdeg}, "q_trunc": {args.qdeg}, "coeffs": [')
         _write_joined(map(to_json, coeffs))
         sys.stdout.write("]}\n")
@@ -265,79 +238,106 @@ def _cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qlehmer",
-        description="Exact computations around the Lehmer tridiagonal determinant family.")
-    sub = parser.add_subparsers(dest="verb", required=True)
+# verb: (handler, help line, takes --json, arguments).  An argument is (name,
+# minimum, cap, why): `--name` is a required option, any other a positional,
+# and a value below the minimum or above the cap (None: no bound) is refused.
+VERBS = {
+    "lambda": (_cmd_lambda, "the determinant polynomial lam(n)", True,
+               [("n", 0, LAMBDA_MAX_N, "its output grows about as n^3")]),
+    "matrix": (_cmd_matrix, "the n x n Lehmer matrix bands", True,
+               [("n", 1, MATRIX_MAX_N, "it holds every entry in memory")]),
+    "det": (_cmd_det, "closed-form determinant of M(n)", True,
+            [("n", 1, DET_MAX_N, "its time grows about as n^4")]),
+    "lu": (_cmd_lu, "closed-form LU factors of M(n)", True,
+           [("n", 1, LU_MAX_N, "it prints every lam(j) three times")]),
+    "verify": (_cmd_verify, "run the independent oracles against the closed forms", False,
+               [("n", 1, VERIFY_MAX_N, "its cost grows about as n^6")]),
+    "qbinom": (_cmd_qbinom, "Gaussian q-binomial coefficient [n k]_q", True,
+               [("n", 0, QBINOM_MAX_N, "its cost grows about as n^5"), ("k", None, None, "")]),
+    "limit": (_cmd_limit, "the infinite-size limit determinant series to z^zdeg and q^qdeg", True,
+              [("--zdeg", 0, LIMIT_MAX_ZDEG, "each z^k inverts (q;q)_k"),
+               ("--qdeg", 0, LIMIT_MAX_QDEG, "each z^k line holds qdeg + 1 terms")]),
+    "stabilize": (_cmd_stabilize, "q-degree to which det M(n) agrees with the limit at z^k", False,
+                  [("n", 1, STABILIZE_MAX_N, "its cost grows about as n^4"), ("k", 0, None, "")]),
+    "dyck": (_cmd_dyck, "Dyck paths of half-length m and height at most h", False,
+             [("m", 0, DYCK_MAX_M, "its cost grows about as m^3"), ("h", 0, None, "")]),
+}
 
-    def with_json(p):
-        p.add_argument("--json", action="store_true", help="emit the JSON form")
-        return p
 
-    p = with_json(sub.add_parser("lambda", help="the determinant polynomial lam(j)"))
-    p.add_argument("n", metavar="j", type=_capped(_nonneg_int, LAMBDA_MAX_N, "lambda", "n",
-                                                  "its output grows about as n^3"))
-    p.set_defaults(func=_cmd_lambda)
+def _usage(verb, error: str | None = None):
+    """Print `verb`'s usage (None: qlehmer's) and help, exit 0; or `error`, exit 2."""
+    if verb is None:
+        prog, usage = "qlehmer", "qlehmer [-h] {%s} ..." % ",".join(VERBS)
+        lines = ["Exact computations around the Lehmer tridiagonal determinant family.", "",
+                 "verbs:", *(f"  {name:<10} {spec[1]}" for name, spec in VERBS.items())]
+    else:
+        _, line, takes_json, arguments = VERBS[verb]
+        prog, lines = f"qlehmer {verb}", [line] + ["", "--json  emit the JSON form"] * takes_json
+        words = [name + f" {name[2:].upper()}" * (name[0] == "-") for name, *_ in arguments]
+        usage = " ".join([prog, "[-h]", *words] + ["[--json]"] * takes_json)
+    tail = [f"{prog}: error: {error}"] if error else ["", *lines]
+    print(f"usage: {usage}", *tail, sep="\n", file=sys.stderr if error else sys.stdout)
+    sys.exit(2 if error else 0)
 
-    p = with_json(sub.add_parser("matrix", help="the n x n Lehmer matrix bands"))
-    p.add_argument("n", type=_capped(_positive_int, MATRIX_MAX_N, "matrix", "n",
-                                     "it holds every entry in memory"))
-    p.set_defaults(func=_cmd_matrix)
 
-    p = with_json(sub.add_parser("det", help="closed-form determinant of M(n)"))
-    p.add_argument("n", type=_capped(_positive_int, DET_MAX_N, "det", "n",
-                                     "its time grows about as n^4"))
-    p.set_defaults(func=_cmd_det)
-
-    p = with_json(sub.add_parser("lu", help="closed-form LU factors of M(n)"))
-    p.add_argument("n", type=_capped(_positive_int, LU_MAX_N, "lu", "n",
-                                     "it prints every lam(j) three times"))
-    p.set_defaults(func=_cmd_lu)
-
-    p = sub.add_parser("verify", help="run the independent oracles against the closed forms")
-    p.add_argument("n", type=_capped(_positive_int, VERIFY_MAX_N, "verify", "n",
-                                     "its cost grows about as n^6"))
-    p.set_defaults(func=_cmd_verify)
-
-    p = with_json(sub.add_parser("qbinom", help="Gaussian q-binomial coefficient"))
-    p.add_argument("n", type=_capped(_nonneg_int, QBINOM_MAX_N, "qbinom", "n",
-                                     "its cost grows about as n^5"))
-    p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_qbinom)
-
-    p = with_json(sub.add_parser("limit", help="the infinite-size limit determinant series"))
-    p.add_argument("--zdeg", required=True, help="z truncation order",
-                   type=_capped(_nonneg_int, LIMIT_MAX_ZDEG, "limit", "--zdeg",
-                                "each z^k inverts (q;q)_k"))
-    p.add_argument("--qdeg", required=True, help="q truncation order",
-                   type=_capped(_nonneg_int, LIMIT_MAX_QDEG, "limit", "--qdeg",
-                                "each z^k line holds qdeg + 1 terms"))
-    p.set_defaults(func=_cmd_limit)
-
-    p = sub.add_parser("stabilize", help="q-degree through which det M(n) agrees with the limit at z^k")
-    p.add_argument("n", type=_capped(_positive_int, STABILIZE_MAX_N, "stabilize", "n",
-                                     "its cost grows about as n^4"))
-    p.add_argument("k", type=_nonneg_int)
-    p.set_defaults(func=_cmd_stabilize)
-
-    p = sub.add_parser("dyck", help="bounded-height Dyck path count")
-    p.add_argument("m", help="half-length",
-                   type=_capped(_nonneg_int, DYCK_MAX_M, "dyck", "m",
-                                "its cost grows about as m^3"))
-    p.add_argument("h", type=_nonneg_int, help="height bound")
-    p.set_defaults(func=_cmd_dyck)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read `argv` against `VERBS` into the verb, `json` and each argument, named
+    without dashes.  Options take full names, as `--opt value` or `--opt=value`,
+    anywhere among the positionals; `-3` is a value.  Help exits 0, errors 2."""
+    verb, *rest = argv or [None]
+    if {"-h", "--help"} & set(argv):
+        _usage(verb if verb in VERBS else None)
+    if verb not in VERBS:
+        _usage(None, "the following arguments are required: verb" if verb is None else
+               f"argument verb: invalid choice: {verb!r} (choose from {', '.join(VERBS)})")
+    _, _, takes_json, arguments = VERBS[verb]
+    names = [name for name, *_ in arguments]
+    texts, positionals, extra, as_json = {}, [], [], False
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if token == "--json" and takes_json:
+            as_json = True
+        elif token[:1] != "-" or token[1:].isdigit():
+            positionals.append(token)
+        elif name in names and (eq or (text := next(tokens, None)) is not None):
+            texts[name] = text
+        else:
+            extra.append(token)
+    slots = [name for name in names if name[0] != "-"]
+    texts.update(zip(slots, positionals))
+    missing, extra = [name for name in names if name not in texts], extra + positionals[len(slots):]
+    if missing or extra:
+        _usage(verb, "the following arguments are required: " + ", ".join(missing) if missing
+               else "unrecognized arguments: " + " ".join(extra))
+    values = {"verb": verb, "json": as_json}
+    for name, low, cap, why in arguments:
+        text = texts[name]
+        try:
+            value = values[name.lstrip("-")] = int(text)
+        except ValueError:  # also a string of more digits than `int` converts
+            _usage(verb, f"argument {name}: invalid int value: {text!r}")
+        if low is not None and value < low:
+            _usage(verb, f"argument {name}: expected an integer >= {low}, got {text}")
+        if cap is not None and value > cap:
+            _usage(verb, f"argument {name}: {verb} is limited to {name} <= {cap} ({why}), "
+                         f"got {text}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    return VERBS[args.verb][0](args)
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the Python docs' recipe: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

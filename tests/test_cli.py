@@ -71,6 +71,7 @@ def test_qbinom():
 
 def test_qbinom_out_of_range_is_zero():
     assert run("qbinom", "3", "5") == (0, "0\n")
+    assert run("qbinom", "5", "-1") == (0, "0\n")  # `-1` is a value, not an option
 
 
 def test_matrix_bands():
@@ -175,7 +176,7 @@ def test_verify_above_cap_exits_2_without_computing(monkeypatch, capsys):
         run("verify", str(cli.VERIFY_MAX_N + 1))
     assert exc.value.code == 2
     assert f"n <= {cli.VERIFY_MAX_N}" in capsys.readouterr().err
-    assert cli.build_parser().parse_args(["verify", str(cli.VERIFY_MAX_N)]).n == cli.VERIFY_MAX_N
+    assert cli.parse_args(["verify", str(cli.VERIFY_MAX_N)]).n == cli.VERIFY_MAX_N
 
 
 @pytest.mark.parametrize("verb, size, cap", [
@@ -201,14 +202,13 @@ def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkey
 def test_closed_caps_admit_the_benchmarked_sizes():
     # 128 is the largest det the benchmark's own tests run; 112 and 96 are
     # the sizes of its workload.  Parse only: nothing is computed.
-    parser = cli.build_parser()
     for n in (96, 112, 128, cli.DET_MAX_N):
-        assert parser.parse_args(["det", str(n), "--json"]).n == n
+        assert cli.parse_args(["det", str(n), "--json"]).n == n
     for n in (96, 112, 128, cli.DET_MAX_N, cli.LAMBDA_MAX_N):
-        assert parser.parse_args(["lambda", str(n)]).n == n
-    assert parser.parse_args(["lu", str(cli.LU_MAX_N)]).n == cli.LU_MAX_N
-    assert parser.parse_args(["matrix", str(cli.MATRIX_MAX_N), "--json"]).n == cli.MATRIX_MAX_N
-    assert parser.parse_args(["lambda", "0"]).n == 0
+        assert cli.parse_args(["lambda", str(n)]).n == n
+    assert cli.parse_args(["lu", str(cli.LU_MAX_N)]).n == cli.LU_MAX_N
+    assert cli.parse_args(["matrix", str(cli.MATRIX_MAX_N), "--json"]).n == cli.MATRIX_MAX_N
+    assert cli.parse_args(["lambda", "0"]).n == 0
 
 
 @pytest.mark.parametrize("argv, limited", [
@@ -242,16 +242,15 @@ def test_series_caps_admit_the_benchmarked_sizes():
     # The benchmark's `series` workload runs stabilize 100 20, qbinom 64 k
     # for k in 30..34, limit 20/1500 and dyck m h for m <= 60, h <= m + 2.
     # Parse only: nothing is computed.
-    parser = cli.build_parser()
     for n in (100, cli.STABILIZE_MAX_N):
-        assert parser.parse_args(["stabilize", str(n), "20"]).n == n
+        assert cli.parse_args(["stabilize", str(n), "20"]).n == n
     for n in (64, cli.QBINOM_MAX_N):
-        assert parser.parse_args(["qbinom", str(n), "34", "--json"]).n == n
+        assert cli.parse_args(["qbinom", str(n), "34", "--json"]).n == n
     for z, q in ((20, 1500), (cli.LIMIT_MAX_ZDEG, cli.LIMIT_MAX_QDEG)):
-        args = parser.parse_args(["limit", "--zdeg", str(z), "--qdeg", str(q)])
+        args = cli.parse_args(["limit", "--zdeg", str(z), "--qdeg", str(q)])
         assert (args.zdeg, args.qdeg) == (z, q)
     for m in (60, cli.DYCK_MAX_M):
-        assert parser.parse_args(["dyck", str(m), str(m + 2)]).m == m
+        assert cli.parse_args(["dyck", str(m), str(m + 2)]).m == m
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,6 +265,60 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["det", "--help"], ["limit", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qlehmer")
+    if argv[0].startswith("-"):
+        assert all(re.search(rf"^  {verb} ", out, re.MULTILINE) for verb in cli.VERBS)
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["limit", "--qdeg=3", "--zdeg", "2"], ["limit", "--zdeg", "2", "--qdeg", "3"]),
+    (["limit", "--json", "--zdeg=2", "--qdeg=3"], ["limit", "--zdeg", "2", "--qdeg", "3", "--json"]),
+    (["det", "--json", "4"], ["det", "4", "--json"]),
+    (["qbinom", "--json", "5", "-1"], ["qbinom", "5", "-1", "--json"]),
+])
+def test_options_may_come_anywhere(argv, same):
+    assert run(*argv) == run(*same)
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["det", "5", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "5", "--json"], "unrecognized arguments: --json"),
+    (["det", "--js", "5"], "unrecognized arguments: --js"),
+    (["limit", "--zdeg", "3"], "required: --qdeg"),
+    (["limit", "--zdeg"], "required: --zdeg, --qdeg"),
+    (["det", "5", "6"], "unrecognized arguments: 6"),
+    (["det", "x"], "invalid int value: 'x'"),
+    (["matrix", "-3"], "expected an integer >= 1, got -3"),
+    (["det", "7" * 5000], "invalid int value"),
+    (["dyck", "2"], "required: h"),
+    (["nonsense", "1"], "invalid choice: 'nonsense'"),
+])
+def test_usage_errors_print_usage_and_no_traceback(argv, says, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: qlehmer")
+    assert error.startswith(f"qlehmer{' ' + argv[0] if argv[0] in cli.VERBS else ''}: error: ")
+    assert says in error
+
+
+def test_closed_pipe_exits_141_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(qlehmer.__file__).resolve().parent.parent))
+    child = subprocess.Popen([sys.executable, "-m", "qlehmer.cli", "det", "112", "--json"], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(10) == b'{"vars": "'
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=60) == 141
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,7 +476,9 @@ def loaded_modules(argv):
 
 
 # (argv, modules it must load, modules it must not load); no verb loads
-# `json`, since `poly.to_json` writes the JSON form itself.
+# `json`, since `poly.to_json` writes the JSON form itself, nor `argparse`
+# (which loads `gettext` and `locale`), since `cli.parse_args` reads the
+# command line itself.
 FOOTPRINTS = [
     (["--help"], {"qlehmer.cli"}, OTHER_MODULES | {"json"}),
     (["qbinom", "6", "3"], {"qlehmer.qcomb"},
@@ -459,4 +514,5 @@ def test_each_verb_imports_only_what_it_runs(argv, loads, skips):
     # on every run; `dataclasses` (which loads `inspect`) on none of them.
     loaded = loaded_modules(argv)
     assert loads <= loaded, loads - loaded
-    assert not loaded & (skips | {"dataclasses"}), loaded & (skips | {"dataclasses"})
+    never = skips | {"dataclasses", "argparse", "gettext", "locale"}
+    assert not loaded & never, loaded & never
