@@ -1,9 +1,9 @@
 """Command-line surface: every computation behind one executable.
 
 Output is deterministic (identical bytes for identical arguments).  Exit
-codes: 0 success or all checks passed, 1 a verification check failed,
-2 usage error (anything `parse_args` cannot read against the `VERBS`
-table), 141 stdout closed before the output was written (128 + SIGPIPE).
+codes: 0 success or all checks passed, 1 a verification check failed, 2 a
+usage error (what `parse_args` cannot read against `VERBS`, or a z-power
+that `stabilize`'s lam(n) lacks), 141 stdout closed early (128 + SIGPIPE).
 
 `lambda` prints lam(j) from the closed sum (`lehmer.lambda_sum`) and `det`
 prints det M(n) from the recursion (`lehmer.lambda_rec`): the same bytes by
@@ -204,8 +204,7 @@ def _cmd_stabilize(args) -> int:
     try:
         d = series.stabilization_check(args.n, args.k)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        _usage("stabilize", str(exc))
     print("exact" if d is None else str(d))
     return 0
 
@@ -280,6 +279,11 @@ def _usage(verb, error: str | None = None):
     sys.exit(2 if error else 0)
 
 
+def _is_value(token: str) -> bool:
+    """A token that is not an option: no leading dash, or a negative integer."""
+    return token[:1] != "-" or token[1:].isdigit()
+
+
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """Read `argv` against `VERBS` into the verb, `json` and each argument, named
     without dashes.  Options take full names, as `--opt value` or `--opt=value`,
@@ -298,9 +302,11 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         name, eq, text = token.partition("=")
         if token == "--json" and takes_json:
             as_json = True
-        elif token[:1] != "-" or token[1:].isdigit():
+        elif _is_value(token):
             positionals.append(token)
-        elif name in names and (eq or (text := next(tokens, None)) is not None):
+        elif name in names:
+            if not eq and not _is_value(text := next(tokens, "-")):  # "-": none left
+                _usage(verb, f"argument {name}: expected one argument")
             texts[name] = text
         else:
             extra.append(token)

@@ -134,7 +134,8 @@ class Poly2:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Poly2 | int") -> "Poly2":
-        other = _coerce(other)
+        if (other := _coerce(other)) is None:
+            return NotImplemented
         if not self._rows:
             return other
         if not other._rows:
@@ -147,13 +148,16 @@ class Poly2:
         return Poly2._raw({ev: _negated(row) for ev, row in self._rows.items()})
 
     def __sub__(self, other: "Poly2 | int") -> "Poly2":
-        return Poly2._raw(_merge(self._rows, _coerce(other)._rows, True))
+        if (other := _coerce(other)) is None:
+            return NotImplemented
+        return Poly2._raw(_merge(self._rows, other._rows, True))
 
     def __rsub__(self, other: "Poly2 | int") -> "Poly2":
-        return _coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: "Poly2 | int") -> "Poly2":
-        other = _coerce(other)
+        if (other := _coerce(other)) is None:
+            return NotImplemented
         a, b = self._rows, other._rows
         # Sharing is safe: instances are immutable by convention.
         if a is ONE._rows:
@@ -177,18 +181,6 @@ class Poly2:
                            for ev, (lo, step, coeffs) in b.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly2":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -473,12 +465,12 @@ def _mul_kronecker(a: Rows, b: Rows, grid) -> Rows:
     return _unpack(product, low, step, row, nrows, row, width)
 
 
-def _coerce(x: "Poly2 | int") -> Poly2:
+def _coerce(x: object) -> Poly2 | None:
+    """x as a polynomial (an int as its constant), or None: a `Poly2` operator
+    then returns NotImplemented, so Python tries `RatFunc.__radd__` and kin."""
     if isinstance(x, Poly2):
         return x
-    if isinstance(x, int):
-        return Poly2.constant(x)
-    raise TypeError(f"cannot treat {type(x).__name__} as a polynomial")
+    return Poly2.constant(x) if isinstance(x, int) else None
 
 
 ZERO = Poly2._raw({})
@@ -642,8 +634,9 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly2 | int, den: Poly2 | int = ONE):
-        num = _coerce(num)
-        den = _coerce(den)
+        num, den = _coerce(num), _coerce(den)
+        if num is None or den is None:
+            raise TypeError("a rational function takes polynomials or ints")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -702,9 +695,7 @@ class RatFunc:
 
 
 def _coerce_rat(x: "RatFunc | Poly2 | int") -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc(_coerce(x))
+    return x if isinstance(x, RatFunc) else RatFunc(x)
 
 
 RAT_ZERO = RatFunc(ZERO)
@@ -885,49 +876,6 @@ def to_json_obj(p: Poly2) -> dict:
     return json.loads(to_json(p))
 
 
-_COEFF_TEXT = r"-?[1-9][0-9]*"  # compiled on first use, by `re`'s own cache
-
-
-def from_json_obj(obj: Mapping) -> Poly2:
-    """Rebuild a polynomial from its JSON form (inverse of to_json_obj).
-
-    Accepts exactly what to_json_obj emits: an object with the keys `vars`
-    ("qz" or "uv") and `terms`, a list of [exp, exp, coeff] triples with
-    nonnegative int exponents (bool is not an int here) and nonzero
-    coefficients as canonical decimal strings, no exponent pair repeated.
-    Anything else raises ValueError.
-    """
-    import re
-
-    if not isinstance(obj, Mapping) or set(obj) != {"vars", "terms"}:
-        raise ValueError("expected an object with exactly the keys 'vars' and 'terms'")
-    variables, triples = obj["vars"], obj["terms"]
-    if variables not in ("qz", "uv"):
-        raise ValueError(f"unknown variable marker {variables!r}")
-    if not isinstance(triples, list):
-        raise ValueError(f"'terms' must be a list, got {type(triples).__name__}")
-    scale = 2 if variables == "qz" else 1
-    out: dict[Exponents, int] = {}
-    for triple in triples:
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ValueError(f"term {triple!r} is not an [exp, exp, coeff] triple")
-        second, first, coeff = triple
-        if type(first) is not int or type(second) is not int:
-            raise ValueError(f"exponents of {triple!r} must be ints")
-        if not isinstance(coeff, str) or not re.fullmatch(_COEFF_TEXT, coeff):
-            raise ValueError(f"coefficient of {triple!r} must be a nonzero decimal string")
-        e = (scale * first, scale * second)
-        if e in out:
-            raise ValueError(f"duplicate exponent pair {e}")
-        out[e] = int(coeff)
-    return Poly2(out)
-
-
 def ratfunc_to_json_obj(r: RatFunc) -> dict:
     return {"num": to_json_obj(r.num), "den": to_json_obj(r.den)}
 
-
-def ratfunc_from_json_obj(obj: Mapping) -> RatFunc:
-    if not isinstance(obj, Mapping) or set(obj) != {"num", "den"}:
-        raise ValueError("expected an object with exactly the keys 'num' and 'den'")
-    return RatFunc(from_json_obj(obj["num"]), from_json_obj(obj["den"]))

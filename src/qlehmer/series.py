@@ -74,21 +74,6 @@ def limit_det(z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
     return tuple(coeffs)
 
 
-def series_from_poly(p: Poly2, z_trunc: int, q_trunc: int) -> tuple[Poly2, ...]:
-    """Truncate an even-exponent polynomial (e.g. a finite determinant) at
-    (z_trunc, q_trunc), as `limit_det` does: the tuple of its q-polynomial
-    coefficients of z^0..z^z_trunc, each through q-degree q_trunc."""
-    from .poly import q_poly, qz_terms
-
-    if z_trunc < 0 or q_trunc < 0:
-        raise ValueError("truncation orders must be nonnegative")
-    buckets: list[dict[int, int]] = [{} for _ in range(z_trunc + 1)]
-    for (dq, dz), c in qz_terms(p):
-        if dz <= z_trunc and dq <= q_trunc:
-            buckets[dz][dq] = c
-    return tuple(q_poly(b.items()) for b in buckets)
-
-
 def stabilization_check(n: int, k: int) -> int | None:
     """Largest d such that the z^k coefficient of det M(n) agrees with the
     limit coefficient modulo q^(d+1).

@@ -23,7 +23,6 @@ from qlehmer.poly import (
     eval_qz,
     eval_u1,
     exact_div,
-    from_json_obj,
     q_pow,
     q_poly,
     qz_terms,
@@ -39,6 +38,7 @@ from qlehmer.qcomb import gauss_product, poch_qq
 U = Poly2.monomial(1, 1, 0)
 V = Poly2.monomial(1, 0, 1)
 Q = q_pow(1)
+Q3 = q_pow(3)
 BIG = 2**200
 
 
@@ -372,23 +372,22 @@ z_shifts = st.builds(Poly2.monomial, st.just(1), st.just(0), st.integers(0, 8))
 
 @settings(deadline=None)
 @given(st.one_of(polys, wide_polys(), stepped_polys()),
-       st.one_of(polys, monomials, z_shifts, stepped_polys(), st.sampled_from([ZERO, ONE])),
-       st.integers(0, 3))
+       st.one_of(polys, monomials, z_shifts, stepped_polys(), st.sampled_from([ZERO, ONE])))
 # (1 + q + q^2) - q cancels inside the row, so its step rises from 2 to 4.
-@example(ONE + Q + Q * Q, Q, 2)
+@example(ONE + Q + Q * Q, Q)
 # (1 + q + q^2 + q^3) - (1 + q^3) cancels at both ends, so the row is trimmed.
-@example(ONE + Q + Q * Q + Q ** 3, ONE + Q ** 3, 1)
+@example(ONE + Q + Q * Q + Q3, ONE + Q3)
 # q-rows next to v*u^odd rows, and sums that lay both on step 1.
-@example((ONE + Q + Q * Q) * (ONE + V * U), U + V * U * U, 2)
+@example((ONE + Q + Q * Q) * (ONE + V * U), U + V * U * U)
 # Coefficients of about 2**200 that cancel inside a row and at its end.
-@example(BIG * (ONE + Q + Q ** 3) + 3 * Q * Q, BIG * (Q + Q ** 3) + V, 3)
-def test_results_share_rows_without_changing_operands(a, b, k):
+@example(BIG * (ONE + Q + Q3) + 3 * Q * Q, BIG * (Q + Q3) + V)
+def test_results_share_rows_without_changing_operands(a, b):
     # Sums take rows of either operand as they are, so no operation, on
     # operands or on results built from them, may change a row in place, and
     # every result must be canonical.
     values = [a, b]
     seen = [v.terms for v in values]
-    values += [a + b, b + a, a - b, b - a, -a, -b, a * b, b * a, b ** k]
+    values += [a + b, b + a, a - b, b - a, -a, -b, a * b, b * a]
     assert [v.terms for v in values[:2]] == seen
     values += [exact_div(a * b, b)] if not b.is_zero else []
     values += [exact_div(a * b, a)] if not a.is_zero else []
@@ -403,10 +402,10 @@ def test_results_share_rows_without_changing_operands(a, b, k):
 def test_rows_are_trimmed_and_restrided():
     # The stored rows themselves, (lo, step, coeffs) per v-exponent.
     assert ((ONE + Q + Q * Q) - Q)._rows == {0: (0, 4, (1, 1))}
-    assert ((ONE + Q + Q * Q + Q ** 3) - (ONE + Q ** 3))._rows == {0: (2, 2, (1, 1))}
+    assert ((ONE + Q + Q * Q + Q3) - (ONE + Q3))._rows == {0: (2, 2, (1, 1))}
     assert ((ONE + Q * Q) - ONE)._rows == {0: (4, 1, (1,))}  # one term: step 1
     assert ((ONE + Q) + U)._rows == {0: (0, 1, (1, 1, 1))}
-    assert (ONE + U ** 3 + V * U)._rows == {0: (0, 3, (1, 1)), 1: (1, 1, (1,))}
+    assert (ONE + Poly2.monomial(1, 3, 0) + V * U)._rows == {0: (0, 3, (1, 1)), 1: (1, 1, (1,))}
     big = BIG * (ONE + Q + Q * Q) - BIG * Q
     assert big._rows == {0: (0, 4, (BIG, BIG))}
     assert (big - BIG * Q * Q)._rows == {0: (0, 1, (BIG,))}
@@ -515,6 +514,25 @@ def test_sum_and_difference_match_cross_multiplication(a, b, dens):
         assert got.num * (d * e) == num * got.den
 
 
+@given(polys, polys, nonzero_polys)
+def test_poly2_defers_to_ratfunc(p, a, d):
+    # Poly2's operators return NotImplemented for a RatFunc, so Python calls
+    # RatFunc's reflected ones.
+    r = RatFunc(a, d)
+    assert isinstance(p + r, RatFunc) and p + r == r + p
+    assert isinstance(p * r, RatFunc) and p * r == r * p
+    assert isinstance(p - r, RatFunc) and p - r == -(r - p)
+
+
+@pytest.mark.parametrize("operate", [
+    lambda: RatFunc("x"), lambda: RatFunc(ONE, 1.5), lambda: Q + 1.5, lambda: 1.5 + Q,
+    lambda: Q - 1.5, lambda: "x" - Q, lambda: Q * 1.5, lambda: RatFunc(Q) + "x",
+])
+def test_other_operand_types_raise_type_error(operate):
+    with pytest.raises(TypeError):
+        operate()
+
+
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
@@ -539,7 +557,7 @@ def test_kronecker_product_cancels(c, step_u, step_v, m):
     a = schoolbook(c, ONE - x)
     geometric = Poly2({(step_u * i, step_v * i): 1 for i in range(m)})
     product = a * geometric
-    assert product == schoolbook(c, ONE - x ** m)
+    assert product == schoolbook(c, ONE - Poly2.monomial(1, step_u * m, step_v * m))
     assert all(coeff != 0 for coeff in product.terms.values())
     assert kronecker(a, geometric) == product.terms
 
@@ -732,11 +750,11 @@ def test_quotient_outgrows_its_operands():
     (Poly2({(0, 0): 6, (2, 2): 3, (4, 0): 9}), Poly2({(0, 0): 2, (2, 0): 4}), None),  # 3 by 2
     (Poly2({(1, 0): 1, (5, 2): 1}), Poly2({(2, 0): 1, (3, 0): 1}), "lowest monomial"),
     (Poly2({(3, 0): 1, (5, 2): 1}), Poly2({(0, 1): 1, (2, 3): 1}), "lowest monomial"),
-    (ONE + U ** 3, ONE + U ** 4, "spans more"),                   # divisor wider in u
-    (ONE + U * V, ONE + V ** 2, "spans more"),                    # divisor spans more rows
+    (ONE + Poly2.monomial(1, 3, 0), ONE + q_pow(2), "spans more"),  # divisor wider in u
+    (ONE + U * V, ONE + z_pow(1), "spans more"),  # divisor spans more rows
     # Rows of 4 digits: u^3 + v packs to X^3 + X^4 = X^3 * (1 + X), but the
     # quotient's digit X^3 lies in a column that no quotient by 1 + u reaches.
-    (U ** 3 + V, ONE + U, "certificate"),
+    (Poly2.monomial(1, 3, 0) + V, ONE + U, "certificate"),
 ])
 def test_exact_div_rejects_non_divisible(a, b, reason):
     # The lowest-monomial and span checks raise before any packing; the
@@ -797,86 +815,6 @@ def test_canonical_form_idempotent(a, b):
     for result in (a + b, a * b, a - b):
         assert Poly2(result.terms) == result
         assert all(c != 0 for c in result.terms.values())
-
-
-@given(polys)
-def test_text_and_json_round_trip(p):
-    obj = to_json_obj(p)
-    back = from_json_obj(obj)
-    assert back == p
-    assert to_text(back) == to_text(p)
-
-
-@pytest.mark.parametrize("obj", [
-    {"vars": "qz", "terms": [[0.5, 0, "1"]]},
-    {"vars": "qz", "terms": [[True, 0, "1"]]},
-    {"vars": "qz", "terms": [[0, 0, 1.5]]},
-    {"vars": "qz", "terms": [[0, 0, "1.5"]]},
-    {"vars": "qz", "terms": [[0, 0, 1]]},
-    {"vars": "qz", "terms": [[0, 0, "0"]]},
-    {"vars": "qz", "terms": [[0, -1, "1"]]},
-    {"vars": "qz", "terms": [[0, 0, "1"], [0, 0, "2"]]},
-    {"vars": "qz", "terms": [[0, 0]]},
-    {"vars": "qz", "terms": "1"},
-    {"vars": "qq", "terms": []},
-    {"terms": [[0, 0, "1"]]},
-    {"vars": "qz"},
-    {"vars": "qz", "terms": [], "extra": 1},
-    [["qz"]],
-])
-def test_from_json_rejects_malformed(obj):
-    with pytest.raises(ValueError):
-        from_json_obj(obj)
-
-
-def _not_canonical_decimal(s):
-    return re.fullmatch(r"-?[1-9][0-9]*", s) is None
-
-
-bad_exponents = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
-                          st.integers(max_value=-1), st.lists(st.integers(), max_size=2))
-bad_coeffs = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
-                       st.text(max_size=6).filter(_not_canonical_decimal))
-
-
-@st.composite
-def malformed_json(draw):
-    """A to_json_obj output with exactly one defect drawn into it."""
-    obj = to_json_obj(draw(nonzero_polys))
-    terms = [list(t) for t in obj["terms"]]
-    i = draw(st.integers(0, len(terms) - 1))
-    defect = draw(st.sampled_from(["exponent", "coeff", "arity", "duplicate", "vars",
-                                   "terms", "missing", "extra"]))
-    if defect == "exponent":
-        terms[i][draw(st.integers(0, 1))] = draw(bad_exponents)
-    elif defect == "coeff":
-        terms[i][2] = draw(bad_coeffs)
-    elif defect == "arity":
-        terms[i] = draw(st.sampled_from([terms[i][:2], terms[i] + ["1"], tuple(terms[i]),
-                                         str(terms[i])]))
-    elif defect == "duplicate":
-        terms.append(list(terms[i]))
-    elif defect == "vars":
-        obj["vars"] = draw(st.one_of(st.text(max_size=3), st.integers(), st.none())
-                           .filter(lambda v: v not in ("qz", "uv")))
-    elif defect == "terms":
-        return {"vars": obj["vars"], "terms": draw(st.one_of(st.text(), st.integers(),
-                                                             st.none(), st.dictionaries(st.text(), st.integers())))}
-    elif defect == "missing":
-        del obj[draw(st.sampled_from(["vars", "terms"]))]
-        return obj
-    else:
-        obj[draw(st.text(max_size=3).filter(lambda k: k not in obj))] = 0
-        return obj
-    return {"vars": obj["vars"], "terms": terms}
-
-
-# No deadline: on a loaded host one example can pass the 200 ms default.
-@settings(deadline=None)
-@given(malformed_json())
-def test_from_json_rejects_every_defect(obj):
-    with pytest.raises(ValueError):
-        from_json_obj(obj)
 
 
 def test_text_examples():

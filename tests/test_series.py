@@ -14,7 +14,6 @@ from qlehmer.series import (
     dyck_gf_check,
     invert_poch,
     limit_det,
-    series_from_poly,
     stabilization_check,
 )
 
@@ -117,29 +116,19 @@ class TestLimitDet:
             limit_det(8, 60)
 
 
-class TestSeriesFromPoly:
-    def test_truncates_finite_determinant(self):
-        s = series_from_poly(lambda_rec(6), 1, 2)
-        assert s[0] == ONE
-        assert s[1] == -q_poly([1, 1, 1])
-
-    def test_odd_exponents_rejected(self):
-        with pytest.raises(ValueError):
-            series_from_poly(Poly2.monomial(1, 0, 1), 2, 2)
-
-    def test_negative_truncation_rejected(self):
-        for z_trunc, q_trunc in ((-1, 2), (2, -1)):
-            with pytest.raises(ValueError):
-                series_from_poly(ONE, z_trunc, q_trunc)
-
-
 def test_limit_matches_finite_determinant_at_threshold():
     # Sharp certified threshold for (K, D) = (4, 10) is n = 12; the simpler
     # sufficient bound n = 2K + D = 18 must work as well, and n = 11 must not.
-    target = limit_det(4, 10)
-    assert series_from_poly(lambda_rec(12), 4, 10) == target
-    assert series_from_poly(lambda_rec(18), 4, 10) == target
-    assert series_from_poly(lambda_rec(11), 4, 10) != target
+    # Both sides as {(q-degree, z-degree): coeff} maps through z^4 and q^10.
+    target = {(dq, k): c for k, coeff in enumerate(limit_det(4, 10))
+              for (dq, _), c in qz_terms(coeff)}
+
+    def truncated(n):
+        return {(dq, dz): c for (dq, dz), c in qz_terms(lambda_rec(n)) if dz <= 4 and dq <= 10}
+
+    assert truncated(12) == target
+    assert truncated(18) == target
+    assert truncated(11) != target
 
 
 class TestStabilization:
