@@ -2,29 +2,18 @@
 
 Nothing in here knows the closed forms: `lu_generic` runs Doolittle
 elimination over the fraction field and must rediscover the guessed factors,
-`product_check` multiplies L by U entry-by-entry (off-band zeros included),
-and two determinant routes must agree with the closed form.  `det_cofactor`
-exploits the band structure: on M(n) the product sub * super is z q^(j-1), so
-it runs the same three-term recurrence as `lambda_rec` and is not independent
-of the closed form.  `det_bareiss`, fraction-free dense elimination blind to
-the bands, is the independent determinant oracle.
-
-`qlehmer verify` runs `lu_generic`, `product_check` and `det_cofactor`, plus
-the closed sum `lambda_sum` against the recursion; its only polynomial
-divisions are `lambda_sum`'s exact ones by 1 - q^j.  It skips `det_bareiss`,
-whose n^3/3 calls of `exact_div` (3311 at n = 22, most of them on a zero
-entry) and the products feeding them take about 0.4 to 0.6 s at n = 22 on a
-shared 2-core host, against about 0.035 s for all four checks of `verify 22`
-in the same process, so adding it would make `verify` over ten times slower.  The
-tests run it up to n = 16.
+and `product_check` multiplies L by U entry-by-entry (off-band zeros
+included).  `det_cofactor` runs the continuant recurrence, on M(n) that of
+`lambda_rec`, so it is not independent of the closed form.  `qlehmer verify`
+runs all three.  The band-blind determinant oracle, integer Bareiss on a grid
+of integer points (u, v) that proves det M(n) = lam(n), is in the tests
+(`tests/test_linalg.py`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .lehmer import BandedFactors, TriMatrix
-from .poly import ONE, RAT_ONE, RAT_ZERO, ZERO, Poly2, RatFunc, exact_div, ratfunc_eq
+from .poly import ONE, RAT_ONE, RAT_ZERO, Poly2, RatFunc, ratfunc_eq
 
 
 class ZeroPivotError(ArithmeticError):
@@ -104,34 +93,3 @@ def det_cofactor(m: TriMatrix) -> Poly2:
         cur = m.diag[j] * prev1 - m.subdiag[j - 1] * m.superdiag[j - 1] * prev2
         prev2, prev1 = prev1, cur
     return prev1
-
-
-def det_bareiss(rows: Sequence[Sequence[Poly2]]) -> Poly2:
-    """Determinant of a square grid of polynomials by fraction-free
-    elimination; every division is exact.
-
-    A zero pivot triggers a row-swap search (sign flip); a fully zero pivot
-    column means the determinant is zero.  Blind to any band structure on
-    purpose.
-    """
-    n = len(rows)
-    if n < 1 or any(len(row) != n for row in rows):
-        raise ValueError("entries must form a nonempty square grid")
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = ZERO
-        prev = a[k][k]
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]

@@ -6,8 +6,8 @@ Working in (u, v) makes every entry of the Lehmer matrix an honest monomial
 ever appear.  Values that live in the plain (q, z) world are exactly the
 polynomials whose u- and v-exponents are all even.  `qz_terms` reads their
 (q, z) degrees for computation and `_view` reads them for printing; no other
-code tests exponent parity or halves exponents.  `q_poly`, `q_dense`,
-`q_pow`, `z_pow` and `lehmer.lambda_sum` (from `q_dense` rows) build them.
+code tests exponent parity or halves exponents.  `q_dense`, `q_pow`,
+`z_pow` and `lehmer.lambda_sum` (from `q_dense` rows) build them.
 Dense q-lists meet 1 - q^j only in `times_one_minus` and `_certified_step`.
 
 A polynomial is stored as z-rows: a map from each v-exponent to its row,
@@ -67,7 +67,7 @@ the denominators differ (see `ratfunc_eq`).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from functools import cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, isqrt
@@ -573,12 +573,6 @@ def qz_terms(a: Poly2) -> Iterator[tuple[Exponents, int]]:
             yield (eu // 2, ev // 2), c
 
 
-def q_poly(pairs: Iterable[tuple[int, int]]) -> Poly2:
-    """Sum of c * q**d over (d, c) pairs with distinct d, by the validating
-    constructor: zero coefficients drop out, a negative d raises ValueError."""
-    return Poly2({(2 * d, 0): c for d, c in pairs})
-
-
 def q_dense(coeffs: list[int], start: int) -> Poly2:
     """Sum of coeffs[i] * q**(start + i) over a nonempty list, start >= 0,
     as one row; a list with no zero is stored as it stands."""
@@ -650,6 +644,8 @@ class RatFunc:
 
     def __add__(self, other: "RatFunc | Poly2 | int") -> "RatFunc":
         other = _coerce_rat(other)
+        if other is None:
+            return NotImplemented
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
@@ -661,29 +657,32 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other: "RatFunc | Poly2 | int") -> "RatFunc":
-        return self + (-_coerce_rat(other))
+        other = _coerce_rat(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other: "RatFunc | Poly2 | int") -> "RatFunc":
-        return _coerce_rat(other) + (-self)
+        other = _coerce_rat(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other: "RatFunc | Poly2 | int") -> "RatFunc":
         other = _coerce_rat(other)
+        if other is None:
+            return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "RatFunc | Poly2 | int") -> "RatFunc":
         other = _coerce_rat(other)
+        if other is None:
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Poly2, int)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return ratfunc_eq(self, other)
+        other = _coerce_rat(other)
+        return NotImplemented if other is None else ratfunc_eq(self, other)
 
     def __str__(self) -> str:
         if self.den == ONE:
@@ -694,8 +693,11 @@ class RatFunc:
         return f"RatFunc({self!s})"
 
 
-def _coerce_rat(x: "RatFunc | Poly2 | int") -> RatFunc:
-    return x if isinstance(x, RatFunc) else RatFunc(x)
+def _coerce_rat(x: object) -> RatFunc | None:
+    """x as a fraction; None (so NotImplemented) for any other type."""
+    if isinstance(x, RatFunc):
+        return x
+    return RatFunc(x) if isinstance(x, (Poly2, int)) else None
 
 
 RAT_ZERO = RatFunc(ZERO)

@@ -22,7 +22,6 @@ from qlehmer.poly import (
     Poly2,
     RatFunc,
     eval_qz,
-    q_poly,
     q_pow,
     qz_terms,
     ratfunc_eq,
@@ -187,7 +186,7 @@ def lam_at_minus_q_power(lam, e):
     out = {}
     for (dq, dz), c in qz_terms(lam):
         out[dq + e * dz] = out.get(dq + e * dz, 0) + (-1) ** dz * c
-    return q_poly(out.items())
+    return qz_poly({(d, 0): c for d, c in out.items()})
 
 
 def schur_sum(n, a, top):

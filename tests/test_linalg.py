@@ -1,4 +1,7 @@
-"""Generic LU, exact product verification, and the two determinant oracles."""
+"""Generic LU, exact product verification, the continuant, and the
+band-blind integer determinant oracle."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +19,11 @@ from qlehmer.lehmer import (
 from qlehmer import linalg
 from qlehmer.linalg import (
     ZeroPivotError,
-    det_bareiss,
     det_cofactor,
     lu_generic,
     product_check,
 )
-from qlehmer.poly import ONE, ZERO, Poly2, RatFunc, ratfunc_eq
+from qlehmer.poly import ONE, ZERO, Poly2, RatFunc, eval_qz, qz_terms, ratfunc_eq
 
 
 def rows_of(m):
@@ -162,26 +164,135 @@ class TestDetCofactor:
             assert det_cofactor(lehmer_matrix(n)) == lambda_rec(n), n
 
 
+# -- the band-blind determinant oracle: integer Bareiss on a full grid --------
+#
+# det M is a polynomial in (u, v); the term of the Leibniz expansion for a
+# permutation takes one entry from each row, so its u-degree is at most the
+# sum over the rows of each row's largest u-exponent, and likewise in v.  A
+# polynomial of degree <= d_u in u and <= d_v in v that vanishes on a
+# (d_u + 1) x (d_v + 1) grid of points is zero (Alon, Combinatorial
+# Nullstellensatz, 1999, Lemma 2.1).  So a candidate within those bounds that
+# agrees with det M at every grid point equals det M.  The values at the grid
+# points come from fraction-free elimination on plain ints (Bareiss, Math.
+# Comp. 22, 1968), which shares no arithmetic with Poly2.
+
+
+def bareiss(rows):
+    """Determinant of a nonempty square int matrix by fraction-free
+    elimination.  Every division is exact (asserted), and a row swap flips
+    the sign.  Blind to any band structure on purpose."""
+    n = len(rows)
+    if n < 1 or any(len(row) != n for row in rows):
+        raise ValueError("entries must form a nonempty square grid")
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                quot, rem = divmod(pivot * row[j] - lead * top[j], prev)
+                assert rem == 0, (k, j)
+                row[j] = quot
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def eval_uv(terms, u, v):
+    return sum(c * u**eu * v**ev for (eu, ev), c in terms.items())
+
+
+def flipped(p, su, sv):
+    """p(su * u, sv * v) for signs su, sv."""
+    return Poly2({(eu, ev): c * su**eu * sv**ev for (eu, ev), c in p.terms.items()})
+
+
+def assert_lehmer_signs(rows):
+    """Check M(-u, v) == D M D and M(u, -v) == S M S exactly on the entries,
+    where d_1 = 1, d_(i+1) = (-1)^(i-1) d_i and s_i = (-1)^i (1-based i).
+    D and S are their own inverses, so det M is even in u and in v."""
+    n = len(rows)
+    d = [1]
+    for i in range(1, n):
+        d.append((-1) ** (i - 1) * d[-1])
+    s = [(-1) ** i for i in range(1, n + 1)]
+    for i, j in product(range(n), repeat=2):
+        entry = rows[i][j]
+        assert flipped(entry, -1, 1) == d[i] * d[j] * entry, ("u", i, j)
+        assert flipped(entry, 1, -1) == s[i] * s[j] * entry, ("v", i, j)
+
+
+def assert_det_on_grid(rows, candidate, even=False):
+    """Prove det(rows) == candidate by integer Bareiss on a full grid.
+
+    The degree bounds come from the entries.  With `even`, the entries must
+    pass `assert_lehmer_signs`, det is a polynomial in (q, z) = (u^2, v^2) of
+    degree <= (d_u // 2, d_v // 2), and the grid is u, v >= 0 at those
+    bounds, compared with `eval_qz`.  Otherwise the grid covers (u, v) at the
+    full bounds.  Returns the grid's shape.
+    """
+    entries = [[entry.terms for entry in row] for row in rows]
+    bound_u = sum(max((eu for terms in row for eu, _ in terms), default=0) for row in entries)
+    bound_v = sum(max((ev for terms in row for _, ev in terms), default=0) for row in entries)
+    if even:
+        assert_lehmer_signs(rows)
+        bound_u, bound_v = bound_u // 2, bound_v // 2
+        assert all(dq <= bound_u and dz <= bound_v for (dq, dz), _ in qz_terms(candidate))
+
+        def expected(u, v):
+            return eval_qz(candidate, u * u, v * v)
+    else:
+        candidate_terms = candidate.terms
+        assert all(eu <= bound_u and ev <= bound_v for eu, ev in candidate_terms)
+
+        def expected(u, v):
+            return eval_uv(candidate_terms, u, v)
+    for u, v in product(range(bound_u + 1), range(bound_v + 1)):
+        values = [[eval_uv(terms, u, v) for terms in row] for row in entries]
+        assert bareiss(values) == expected(u, v), (u, v)
+    return bound_u + 1, bound_v + 1
+
+
 class TestDetBareiss:
     def test_identity(self):
-        rows = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
-        assert det_bareiss(rows) == ONE
+        assert bareiss([[int(i == j) for j in range(3)] for i in range(3)]) == 1
 
     def test_equal_rows(self):
+        assert bareiss([[1, 3], [1, 3]]) == 0
         row = [ONE, ONE + Poly2.monomial(1, 1, 0)]
-        assert det_bareiss([row, row]) == ZERO
+        assert_det_on_grid([row, row], ZERO)
 
     def test_row_swap_flips_sign(self):
-        assert det_bareiss([[ZERO, ONE], [ONE, ZERO]]) == Poly2.constant(-1)
+        assert bareiss([[0, 1], [1, 0]]) == -1
 
     def test_lehmer_up_to_16(self):
         for n in range(1, 17):
-            assert det_bareiss(rows_of(lehmer_matrix(n))) == lambda_rec(n), n
+            shape = assert_det_on_grid(rows_of(lehmer_matrix(n)), lambda_rec(n), even=True)
+        assert shape == (60, 9)  # q-degree <= 59 and z-degree <= 8 at n = 16
 
     def test_rejects_non_square_grid(self):
-        for rows in ([], [[ONE, ZERO]], [[ONE, ZERO], [ONE]]):
+        for rows in ([], [[1, 0]], [[1, 0], [1]]):
             with pytest.raises(ValueError):
-                det_bareiss(rows)
+                bareiss(rows)
+
+    def test_grid_catches_one_changed_coefficient(self):
+        lam = lambda_rec(8)
+        (dq, dz), _ = next(qz_terms(lam))
+        changed = lam + Poly2.monomial(1, 2 * dq, 2 * dz)
+        with pytest.raises(AssertionError):
+            assert_det_on_grid(rows_of(lehmer_matrix(8)), changed, even=True)
+
+    def test_sign_check_catches_an_odd_entry(self):
+        rows = rows_of(lehmer_matrix(4))
+        rows[2][2] = ONE + Poly2.monomial(1, 1, 0)
+        with pytest.raises(AssertionError, match="'u', 2, 2"):
+            assert_lehmer_signs(rows)
 
 
 def test_det_oracles_agree_against_lambda_sum():
@@ -208,7 +319,7 @@ def random_tridiagonal(draw, max_n=5):
 @settings(deadline=None)
 @given(random_tridiagonal())
 def test_continuant_agrees_with_bareiss(m):
-    assert det_cofactor(m) == det_bareiss(rows_of(m))
+    assert_det_on_grid(rows_of(m), det_cofactor(m))
 
 
 @settings(deadline=None)

@@ -24,7 +24,6 @@ from qlehmer.poly import (
     eval_u1,
     exact_div,
     q_pow,
-    q_poly,
     qz_terms,
     ratfunc_eq,
     to_json,
@@ -32,7 +31,6 @@ from qlehmer.poly import (
     to_text,
     z_pow,
 )
-from qlehmer.linalg import det_bareiss
 from qlehmer.qcomb import gauss_product, poch_qq
 
 U = Poly2.monomial(1, 1, 0)
@@ -524,9 +522,33 @@ def test_poly2_defers_to_ratfunc(p, a, d):
     assert isinstance(p - r, RatFunc) and p - r == -(r - p)
 
 
+def test_ratfunc_defers_to_other_types():
+    # RatFunc's operators return NotImplemented for a foreign operand, so
+    # Python calls that operand's reflected methods.
+    class Reflecting:
+        def __radd__(self, other):
+            return "radd", other
+
+        def __rsub__(self, other):
+            return "rsub", other
+
+        def __rmul__(self, other):
+            return "rmul", other
+
+        def __rtruediv__(self, other):
+            return "rtruediv", other
+
+    r, obj = RatFunc(Q), Reflecting()
+    for name, (got, left) in {"radd": r + obj, "rsub": r - obj,
+                              "rmul": r * obj, "rtruediv": r / obj}.items():
+        assert got == name and left is r
+
+
 @pytest.mark.parametrize("operate", [
     lambda: RatFunc("x"), lambda: RatFunc(ONE, 1.5), lambda: Q + 1.5, lambda: 1.5 + Q,
     lambda: Q - 1.5, lambda: "x" - Q, lambda: Q * 1.5, lambda: RatFunc(Q) + "x",
+    lambda: RatFunc(Q) - "x", lambda: "x" - RatFunc(Q), lambda: RatFunc(Q) * 1.5,
+    lambda: RatFunc(Q) / "x",
 ])
 def test_other_operand_types_raise_type_error(operate):
     with pytest.raises(TypeError):
@@ -687,11 +709,14 @@ def one_digit_packs():
 
 
 def test_division_and_elimination_pack_one_digit_per_coefficient():
-    m = lehmer.lehmer_matrix(8)
+    lam7, lam8 = lehmer.lambda_rec(7), lehmer.lambda_rec(8)
     with one_digit_packs() as widths:
         # The dividend of [80 20]_q is wider than the divisor's first digit.
         assert eval_qz(gauss_product(80, 20), 1, 1) == math.comb(80, 20)
-        assert det_bareiss([[m.entry(i, j) for j in range(8)] for i in range(8)]) == lehmer.lambda_rec(8)
+        # Divisions with several z-rows on both sides, in both directions.
+        product = lam7 * lam8
+        assert exact_div(product, lam7) == lam8
+        assert exact_div(product, lam8) == lam7
     assert widths
 
 
@@ -786,22 +811,23 @@ def test_qz_terms_names_an_odd_exponent(m, odd, c):
             read()
 
 
-@given(st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_size=10))
-def test_q_poly_drops_zero_coefficients(m):
-    p = q_poly(m.items())
-    assert dict(qz_terms(p)) == {(d, 0): c for d, c in m.items() if c}
+@given(st.dictionaries(exponent_pairs, st.integers(-9, 9), max_size=10))
+def test_constructor_drops_zero_coefficients(m):
+    assert Poly2(m).terms == {e: c for e, c in m.items() if c}
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=8), st.integers(0, 5))
 def test_q_dense_matches_q_poly(coeffs, start):
+    # The validating constructor is the oracle.
     p = poly.q_dense(list(coeffs), start)
-    assert p == q_poly((start + i, c) for i, c in enumerate(coeffs))
+    assert p == Poly2({(2 * (start + i), 0): c for i, c in enumerate(coeffs)})
     assert canonical(p)
 
 
-def test_q_poly_rejects_a_negative_degree():
-    with pytest.raises(ValueError):
-        q_poly([(0, 1), (-1, 1)])
+def test_constructor_rejects_a_negative_exponent():
+    for e in ((-1, 0), (0, -1), (-2, -2)):
+        with pytest.raises(ValueError, match=re.escape(f"negative exponent {e}")):
+            Poly2({(0, 0): 1, e: 1})
 
 
 @given(polys, polys)

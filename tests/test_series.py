@@ -19,7 +19,8 @@ from qlehmer.series import (
 
 
 def q_poly(coeffs):
-    return poly.q_poly(enumerate(coeffs))
+    """Polynomial in q from an ascending coefficient list."""
+    return Poly2({(2 * d, 0): c for d, c in enumerate(coeffs)})
 
 
 class TestInvertPoch:
