@@ -8,8 +8,9 @@ defined in `qlehmer.cli`, each with a comment that gives its reason and its
 measured worst case.  Beyond those:
 
 * The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
-  product check n <= 16) so that it stays fast; since large products go
-  through Kronecker substitution these routes take well under a second there.
+  product check n <= 16) so that it stays fast; since a product of two large
+  polynomials is packed one z-row pair at a time, these routes take well
+  under a second there.
 * The band-blind determinant oracle, integer Bareiss on a full grid of
   integer points, lives in `tests/test_linalg.py` and runs there up to
   n = 16; no verb runs it, so it is not timed here.
@@ -20,7 +21,8 @@ closed sum `lambda_sum(n)` behind `qlehmer lambda`, whose z-rows come from
 certified (1 - q^j) stride passes and which `qlehmer verify` checks against
 the recursion; and the last step's two kernels: the monomial shift
 z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The kernel table
-times one product lam(n-1) * lam(n) per size, and the division table
+times one product lam(n-1) * lam(n) per size, the packed row kernel of
+`Poly2` multiplication, and the division table
 `gauss_product` on [80 20]_q and [64 32]_q, the short quotient behind
 `qlehmer qbinom` and `qlehmer stabilize`.  Each row records the result's
 term count and largest coefficient in bits, the output size that drives the

@@ -47,18 +47,19 @@ When one operand is a monomial, as in the shifts z q^(j-2) * lam(j-2) of
 the recursions, every row moves to its shifted v-exponent and lo; it keeps
 its coefficient tuple when the monomial's coefficient is 1 and is scaled by
 one `map` otherwise.  A shift is injective on exponents, so no two terms
-merge and none becomes zero.  Otherwise `_mul_rows` packs both operands
-into single ints by Kronecker substitution (`_grid`) and multiplies them
-once, when the product's exponent box has no more digits than there are
-term pairs, and else convolves the rows pairwise.
+merge and none becomes zero.  Otherwise `_mul_rows` packs each z-row of
+each operand once into one int and multiplies one row pair at a time into
+its product row, when the product rows have no more digits in all than
+there are term pairs, and else convolves the rows pairwise.
 
-`exact_div` packs in the same layout and divides once with `divmod`; a
-nonzero remainder proves that the divisor does not divide.  Every
-coefficient packed, by either, fits one digit: the multiply sizes its digit
-to the product, and `exact_div` starts at the first width that holds both
-operands.  The quotient is unpacked and returned only after an exact
-certificate that it times the divisor is the dividend, at a digit width
-bounded by Mignotte's inequality.
+`exact_div` packs each operand whole into one int by Kronecker
+substitution (`_grid`) and divides once with `divmod`; a nonzero remainder
+proves that the divisor does not divide.  Both write a row by one digit
+codec (`_encode`, `_decode`), and every coefficient packed fits one digit:
+the multiply sizes its digit to the product, and `exact_div` starts at the
+first width that holds both operands.  The quotient is unpacked and
+returned only after an exact certificate that it times the divisor is the
+dividend, at a digit width bounded by Mignotte's inequality.
 
 `RatFunc` is the quotient-field layer: a num/den pair of polynomials with
 den != 0, never reduced by GCD.  Equality and sums cross-multiply only when
@@ -71,7 +72,7 @@ from collections.abc import Callable, Iterator, Mapping
 from functools import cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, isqrt
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 
 Exponents = tuple[int, int]
@@ -322,17 +323,14 @@ def _merge(a: Rows, b: Rows, subtract: bool) -> Rows:
 
 
 def _mul_rows(a: Rows, b: Rows) -> Rows:
-    """Product of two row maps, each of more than one term.
-
-    Packs by Kronecker substitution when the product's reduced exponent box
-    has no more digits than there are term pairs.  Otherwise it convolves
-    the rows pairwise: every pair of nonzero coefficients adds its product
-    into a map of its product row, which is then laid out dense.
-    """
-    grid = _grid(a, b)
-    _, _, _, span_a, span_b = grid
-    if (span_a[0] + span_b[0] + 1) * (span_a[1] + span_b[1] + 1) <= _size(a) * _size(b):
-        return _mul_kronecker(a, b, grid)
+    """Product of two row maps, each of more than one term: `_mul_packed`
+    when the product rows of `_row_grid` have no more digits in all than
+    there are term pairs, else every pair of nonzero coefficients adds its
+    product into a map of its product row, which is then laid out dense."""
+    grid = _row_grid(a, b)
+    _, _, low, high = grid
+    if sum(high.values()) - sum(low.values()) + len(low) <= _size(a) * _size(b):
+        return _mul_packed(a, b, grid)
     out: dict[int, dict[int, int]] = {}
     b_pairs = {bv: _pairs(row) for bv, row in b.items()}
     for av, row_a in a.items():
@@ -345,6 +343,61 @@ def _mul_rows(a: Rows, b: Rows) -> Rows:
                     row[au + bu] = get(au + bu, 0) + x * y
     return {ev: _dense(r) for ev, row in out.items()
             if (r := {eu: c for eu, c in row.items() if c})}
+
+
+def _row_grid(a: Rows, b: Rows):
+    """(base, step, low, high) for two nonzero row maps.  The rows of a lie
+    on the u-grid base[0] + step * i and those of b on base[1] + step * i:
+    step is the gcd of each row's stride and of its low's distance from its
+    operand's lowest low.  low[ev] and high[ev] are the first and last digit
+    of product row ev, in steps from base[0] + base[1]: the lowest start and
+    the highest end among its row pairs."""
+    la = min(lo for lo, _, _ in a.values())
+    lb = min(lo for lo, _, _ in b.values())
+    s = gcd(*[x for rows, base in ((a, la), (b, lb)) for row in rows.values()
+              for x in (row[0] - base, _stride(row))]) or 1
+    ends_a, ends_b = ([(v, (lo - base) // s, (lo - base + (len(c) - 1) * step) // s)
+                       for v, (lo, step, c) in rows.items()] for rows, base in ((a, la), (b, lb)))
+    low: dict[int, int] = {}
+    high: dict[int, int] = {}
+    for av, a_first, a_last in ends_a:
+        for bv, b_first, b_last in ends_b:
+            ev, first, last = av + bv, a_first + b_first, a_last + b_last
+            if low.get(ev, first + 1) > first:  # the first pair of row ev, or a lower one
+                low[ev] = first
+            if high.get(ev, -1) < last:
+                high[ev] = last
+    return (la, lb), s, low, high
+
+
+def _mul_packed(a: Rows, b: Rows, grid) -> Rows:
+    """Product of two nonzero row maps on `_row_grid(a, b)`, one z-row pair
+    at a time: each row is packed once into one int (`_encode`), each pair
+    of rows is multiplied as ints and added into its product row at its
+    offset, and each product row is unpacked once (`_decode`) and made
+    canonical by `_row`, which drops a row that cancels.  A digit holds the
+    smaller bound on a product coefficient, min(#a, #b) * max|a| * max|b|
+    or ||a||_2 * ||b||_2 (Cauchy-Schwarz), and a sign."""
+    (la, lb), s, low, high = grid
+    sq_a, sq_b = (sum(sum(map(mul, c, c)) for _, _, c in rows.values()) for rows in (a, b))
+    width = _width(min(isqrt(sq_a * sq_b),
+                       min(_size(a), _size(b)) * _max_abs(a) * _max_abs(b)))
+    bits = 8 * width
+    # (v-exponent, bit offset of the first digit, value) per row of a and of b
+    packed_a, packed_b = ([(ev, (row[0] - base) // s * bits, _encode(row, s, width))
+                           for ev, row in rows.items()] for rows, base in ((a, la), (b, lb)))
+    sums = dict.fromkeys(low, 0)
+    for av, a_at, x in packed_a:
+        for bv, b_at, y in packed_b:
+            ev = av + bv
+            sums[ev] += x * y << (a_at + b_at - low[ev] * bits)
+    out: Rows = {}
+    for ev, value in sums.items():
+        n = high[ev] - low[ev] + 1
+        if row := _row(la + lb + low[ev] * s, s,
+                       _decode((value + _bias(n, width)).to_bytes(n * width, "little"), width)):
+            out[ev] = row
+    return out
 
 
 def _grid(a: Rows, b: Rows):
@@ -373,96 +426,79 @@ def _grid(a: Rows, b: Rows):
     return low_a, low_b, (su, sv), span_a, span_b
 
 
-def _pack(rows: Rows, low: Exponents, step: Exponents, row: int, nrows: int,
-          width: int) -> int:
+def _pack(rows: Rows, low: Exponents, step: Exponents, row: int, width: int) -> int:
     """The row map evaluated at X = 2**(8 * width), as one int.
 
     The reduced exponent pair (i, k) = ((eu - low_u) / su, (ev - low_v) / sv)
-    with k < nrows goes to the power X**(k * row + i), so a packed row of
-    `row` digits holds one row of the map.  Every coefficient must fit one
-    balanced digit, -X/2 <= c < X/2: it is written biased by X/2, so a row
-    is one `bytes.join` of `to_bytes` over its coefficients plus that bias
-    (a row whose step is a multiple of su is first spread to the grid), and
-    the bias of all nrows * row digits is subtracted once.  A coefficient
-    outside its digit makes `to_bytes` raise OverflowError.
+    goes to the power X**(k * row + i), so a packed row of `row` digits
+    holds one row of the map, packed by `_encode`.
     """
     (lu, lv), (su, sv) = low, step
-    half = 1 << (8 * width - 1)
-    zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
-    data = bytearray(zero * (nrows * row))
-    to_bytes, lengths, orders = int.to_bytes, repeat(width), repeat("little")
-    for ev, (lo, rstep, coeffs) in rows.items():
-        if rstep != su and len(coeffs) > 1:
-            coeffs = _spread(coeffs, rstep // su)
-        at = ((ev - lv) // sv * row + (lo - lu) // su) * width
-        data[at:at + len(coeffs) * width] = b"".join(
-            map(to_bytes, map(half.__add__, coeffs), lengths, orders))
-    return int.from_bytes(data, "little") - int.from_bytes(zero * (nrows * row), "little")
+    return sum(_encode(r, su, width) << ((ev - lv) // sv * row + (r[0] - lu) // su) * 8 * width
+               for ev, r in rows.items())
 
 
 def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
             cols: int, width: int) -> Rows | None:
     """Inverse of `_pack` in balanced digits, each in [-2**(8*width-1), 2**(8*width-1)).
 
-    Adding half the digit range to every digit makes each one nonnegative,
-    so negative digits need no borrow.  Each packed row is one z-row.  Its
-    bytes XOR the biased zero row mark its nonzero digits, so two bit
-    lengths give its first and last one, and a chain of `map` calls over
-    that slice (cut it into digits, read each, remove the bias) decodes the
-    row.  Returns None when the digits of `value` do not fit `nrows` rows,
-    or a nonzero one lies in a column >= `cols` of its row.
+    Each packed row is one z-row.  Its bytes, as an int, XOR the `_bias` of
+    a row mark its nonzero digits, so two bit lengths give the slice that
+    `_decode` reads.  Returns None when the digits of `value` do not fit
+    `nrows` rows, or a nonzero one lies in a column >= `cols` of its row.
     """
     (lu, lv), (su, sv) = low, step
     bits = 8 * width
-    half = 1 << (bits - 1)
-    zero = half.to_bytes(width, "little")  # the biased digit of a zero coefficient
-    biased = value + int.from_bytes(zero * (nrows * row), "little")
+    biased = value + _bias(nrows * row, width)
     if biased < 0 or biased.bit_length() > bits * nrows * row:
         return None
     data = biased.to_bytes(nrows * row * width, "little")
-    zero_row = int.from_bytes(zero * row, "little")
-    from_bytes, orders, unbias = int.from_bytes, repeat("little"), (-half).__add__
+    zero_row = _bias(row, width)
     out: Rows = {}
     size = row * width
     for k in range(nrows):
         at = k * size
-        mark = from_bytes(data[at:at + size], "little") ^ zero_row
+        mark = int.from_bytes(data[at:at + size], "little") ^ zero_row
         if not mark:
             continue
         first = ((mark & -mark).bit_length() - 1) // bits
         last = (mark.bit_length() - 1) // bits
         if last >= cols:
             return None
-        start, stop = at + first * width, at + (last + 1) * width
-        digits = map(data.__getitem__, map(slice, range(start, stop, width),
-                                           range(start + width, stop + width, width)))
         out[lv + k * sv] = _row(lu + first * su, su,
-                                list(map(unbias, map(from_bytes, digits, orders))))
+                                _decode(data[at + first * width:at + (last + 1) * width], width))
     return out
+
+
+def _encode(row: Row, step: int, width: int) -> int:
+    """The row as one int of balanced digits of `width` bytes at u-step
+    `step`, a divisor of its own: one `bytes.join` of `to_bytes` over the
+    coefficients plus half the digit range, less `_bias`.  A coefficient
+    outside -2**(8*width-1) <= c < 2**(8*width-1) raises OverflowError."""
+    _, rstep, coeffs = row
+    if rstep != step and len(coeffs) > 1:
+        coeffs = _spread(coeffs, rstep // step)
+    half = 1 << (8 * width - 1)
+    data = b"".join(map(int.to_bytes, map(half.__add__, coeffs), repeat(width), repeat("little")))
+    return int.from_bytes(data, "little") - _bias(len(coeffs), width)
+
+
+def _decode(data: bytes, width: int) -> list[int]:
+    """The balanced digits of a value plus its `_bias`, from its bytes."""
+    unbias = (-(1 << (8 * width - 1))).__add__
+    digits = zip(*[iter(data)] * width)  # each digit's bytes, as a tuple of ints
+    return list(map(unbias, map(int.from_bytes, digits, repeat("little"))))
+
+
+def _bias(ndigits: int, width: int) -> int:
+    """What `_encode` adds to `ndigits` digits, as one int: adding it to a
+    value in balanced digits makes every digit nonnegative, with no borrow."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * ndigits, "little")
 
 
 def _width(bound: int) -> int:
     """Bytes of a digit that holds every int of magnitude <= bound, sign included."""
     return bound.bit_length() // 8 + 1
-
-
-def _mul_kronecker(a: Rows, b: Rows, grid) -> Rows:
-    """Product of two nonzero row maps by Kronecker substitution on `_grid(a, b)`.
-
-    The row spans the product's reduced u-range, so no digit of the product
-    wraps into the next row.  Every product coefficient is a sum of at most
-    min(#a, #b) terms, each bounded by max|a| * max|b|; the digit width
-    holds that bound plus a sign bit.  The two packed ints are multiplied
-    once and the product is unpacked; the cost follows the exponent box.
-    """
-    low_a, low_b, step, span_a, span_b = grid
-    row = span_a[0] + span_b[0] + 1
-    nrows = span_a[1] + span_b[1] + 1
-    width = _width(min(_size(a), _size(b)) * _max_abs(a) * _max_abs(b))
-    low = (low_a[0] + low_b[0], low_a[1] + low_b[1])
-    product = (_pack(a, low_a, step, row, span_a[1] + 1, width)
-               * _pack(b, low_b, step, row, span_b[1] + 1, width))
-    return _unpack(product, low, step, row, nrows, row, width)
 
 
 def _coerce(x: object) -> Poly2 | None:
@@ -490,7 +526,7 @@ def z_pow(k: int) -> Poly2:
 def exact_div(a: Poly2, b: Poly2) -> Poly2:
     """Quotient c with c*b == a, when b divides a exactly in Z[u, v].
 
-    Packed division in the Kronecker layout of the multiply.  After the
+    Packed division by Kronecker substitution on `_grid`.  After the
     shift by each operand's minimum and the division by the common stride,
     the quotient's reduced u- and v-ranges are those of a minus those of b;
     a lowest monomial of a not divisible by that of b, or a b spanning more
@@ -528,7 +564,6 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
     rows = span_a[1] - span_b[1] + 1
     if cols < 1 or rows < 1:
         raise ExactDivisionError("divisor spans more than the dividend")
-    rows_a, rows_b = span_a[1] + 1, span_b[1] + 1
     b_max = _max_abs(tb)
     norm = isqrt(sum(c * c for _, _, coeffs in ta.values() for c in coeffs)) + 1  # exceeds ||a||_2
     cap = _width(norm << ((rows - 1) * row + cols))  # 2**d * norm, doubled
@@ -536,8 +571,7 @@ def exact_div(a: Poly2, b: Poly2) -> Poly2:
     while width < a_width:  # ends: cap >= a_width
         width = min(2 * width, cap)
     while True:
-        quot, rem = divmod(_pack(ta, low_a, step, row, rows_a, width),
-                           _pack(tb, low_b, step, row, rows_b, width))
+        quot, rem = divmod(_pack(ta, low_a, step, row, width), _pack(tb, low_b, step, row, width))
         if rem:
             raise ExactDivisionError("packed remainder is nonzero")
         tc = _unpack(quot, low, step, row, rows, cols, width)

@@ -83,10 +83,10 @@ def stepped_polys(draw):
 
 
 def kronecker(a, b):
-    """The packed product's term map, from the kernel itself, so that the size
-    test in `Poly2.__mul__` cannot route the operands to the dict loop."""
+    """The packed product's term map, from the row kernel itself, so that the
+    size rule in `_mul_rows` cannot route the operands to the dict loop."""
     ra, rb = a._rows, b._rows
-    return Poly2._raw(poly._mul_kronecker(ra, rb, poly._grid(ra, rb))).terms
+    return Poly2._raw(poly._mul_packed(ra, rb, poly._row_grid(ra, rb))).terms
 
 
 def schoolbook(a, b):
@@ -560,7 +560,7 @@ def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
 
 
-# -- the Kronecker multiply path (both operands of more than one term) ---------
+# -- the packed multiply path (both operands of more than one term) ------------
 
 
 @given(wide_polys(), wide_polys())
@@ -603,43 +603,107 @@ def test_large_lambda_product_matches_evaluation():
         assert eval_qz(product, q, z) == eval_qz(lam[31], q, z) * eval_qz(lam[32], q, z)
 
 
-def test_one_size_rule_decides_packing(monkeypatch):
-    # Operands of more than one term are packed exactly when the product's
-    # exponent box, after the common strides, has no more digits than there
-    # are term pairs.
-    packed = []
-    kernel = poly._mul_kronecker
+def packing_spy(monkeypatch):
+    """Route `_mul_packed` through a spy; returns the list of grids it packed."""
+    packed, kernel = [], poly._mul_packed
 
     def spy(a, b, grid):
         packed.append(grid)
         return kernel(a, b, grid)
 
-    monkeypatch.setattr(poly, "_mul_kronecker", spy)
+    monkeypatch.setattr(poly, "_mul_packed", spy)
+    return packed
+
+
+def test_one_size_rule_decides_packing(monkeypatch):
+    # Operands of more than one term are packed exactly when the product
+    # rows, at the common u-step, have no more digits in all than there are
+    # term pairs.
+    packed = packing_spy(monkeypatch)
     one_q, far_q, far_z = ONE + q_pow(1), ONE + q_pow(1000), ONE + z_pow(1000)
-    # Box 3 (q-degrees 0..2) against 4 term pairs.
+    # One product row of 3 digits (q-degrees 0..2) against 4 term pairs.
     assert one_q * one_q == schoolbook(one_q, one_q)
     assert len(packed) == 1
-    # The strides reduce the box to 2 x 2 digits against 4 term pairs.
+    # The u-step q^1000 leaves two product rows of 2 digits against 4 pairs.
     assert far_q * far_z == schoolbook(far_q, far_z)
     assert len(packed) == 2
-    # Box 1002 (stride q, q-degrees 0..1001) against 4 term pairs.
+    # One product row of 1002 digits (step q, q-degrees 0..1001) against 4.
     assert one_q * far_q == schoolbook(one_q, far_q)
     assert len(packed) == 2
 
 
 def test_sparse_operands_take_the_dict_loop(monkeypatch):
-    # The packed box of this square has two million digits for 100 term
+    # The product row of this square has two million digits for 100 term
     # pairs, so the product must not be packed.
     def refuse(*args):
         raise AssertionError("sparse product was packed")
 
     sparse = Poly2({**{(i, 0): 1 for i in range(9)}, (10**6, 0): 1})
     assert len(sparse.terms) == 10
-    monkeypatch.setattr(poly, "_mul_kronecker", refuse)
+    monkeypatch.setattr(poly, "_mul_packed", refuse)
     assert sparse * sparse == schoolbook(sparse, sparse)
     lam = tuple(lambdas(22))
     with pytest.raises(AssertionError, match="packed"):
         lam[21] * lam[22]
+
+
+def test_product_row_starts_at_its_lowest_pair(monkeypatch):
+    # Product row v gets u^10 f * g first and f * g after it, which starts
+    # lower, so the row must start at the lowest low of its pairs.
+    packed = packing_spy(monkeypatch)
+    f, g = Poly2({(i, 0): 1 for i in range(3)}), ONE + U
+    a, b = f * Poly2.monomial(1, 10, 0) + f * V, g + g * V
+    packed.clear()
+    product = a * b
+    assert len(packed) == 1
+    assert product == schoolbook(a, b)
+    assert kronecker(a, b) == product.terms
+
+
+def test_product_row_that_cancels_is_not_stored(monkeypatch):
+    # (A + zB)(A - zB) = A^2 - z^2 B^2: every digit of the z row cancels.
+    packed = packing_spy(monkeypatch)
+    big_a = Poly2({(i, 0): i + 1 for i in range(20)})
+    big_b = Poly2({(2 * i, 0): (-1) ** i * (i + 3) for i in range(15)})
+    a, b = big_a + z_pow(1) * big_b, big_a - z_pow(1) * big_b
+    packed.clear()
+    product = a * b
+    assert len(packed) == 1
+    assert sorted(product._rows) == [0, 4]
+    assert product == schoolbook(a, b)
+    assert canonical(product)
+
+
+def test_product_row_with_cancelled_ends_is_trimmed_and_restrided(monkeypatch):
+    # With f = 1 + u^4 and a1 + b1 = u^2, the v row of (f + v a1)(f + v b1)
+    # is f (a1 + b1) = u^2 + u^6.  Its pairs span u^0..u^10 at step 2, so
+    # its end digits cancel and what is left sits at step 4.
+    packed = packing_spy(monkeypatch)
+    f = Poly2({(0, 0): 1, (4, 0): 1})
+    b1 = Poly2({(0, 0): 1, (4, 0): 1, (6, 0): 1})
+    a, b = f + V * (Poly2.monomial(1, 2, 0) - b1), f + V * b1
+    packed.clear()
+    product = a * b
+    assert len(packed) == 1
+    assert product._rows[1] == (2, 4, (1, 1))
+    assert product == schoolbook(a, b)
+    assert canonical(product)
+
+
+def test_digit_width_holds_the_norm_bound():
+    # a = c * (1, 2, ..., m) and b, its reverse, attain ||a||_2 * ||b||_2 =
+    # c^2 * (1^2 + ... + m^2) in the middle of the product, below the
+    # min(#a, #b) * max|a| * max|b| = c^2 * m^3 bound.  Each c is swept
+    # across a byte edge of that middle coefficient.
+    for m in (10, 13):
+        square_sum = sum(i * i for i in range(1, m + 1))
+        edges = (math.isqrt((1 << (8 * k - 1)) // square_sum) for k in range(1, 9))
+        for c in {*range(1, 40), *(e + d for e in edges for d in (-1, 0, 1))} - {0}:
+            a = Poly2({(i, 0): c * (i + 1) for i in range(m)})
+            for sign in (1, -1):
+                b = Poly2({(i, 1): sign * c * (m - i) for i in range(m)})
+                assert a * b == schoolbook(a, b)
+                assert kronecker(a, b) == schoolbook(a, b).terms
 
 
 # -- packing: the row map at X = 2**(8 * width) --------------------------------
@@ -669,13 +733,13 @@ def packings(draw):
 def test_pack_is_the_sum_of_terms_at_x(drawn):
     p, (low, step, row, nrows, width), cells = drawn
     direct = sum(c << (8 * width * (k * row + i)) for (i, k), c in cells.items())
-    assert poly._pack(p._rows, low, step, row, nrows, width) == direct
+    assert poly._pack(p._rows, low, step, row, width) == direct
 
 
 @pytest.mark.parametrize("c", [1 << 15, -(1 << 15) - 1])
 def test_pack_rejects_a_coefficient_past_its_digit(c):
     with pytest.raises(OverflowError):
-        poly._pack({0: (0, 1, (1, c))}, (0, 0), (1, 1), 2, 1, 2)
+        poly._pack({0: (0, 1, (1, c))}, (0, 0), (1, 1), 2, 2)
 
 
 @given(packings())
@@ -685,7 +749,7 @@ def test_unpack_inverts_pack_where_the_digits_hold(drawn):
     # Balanced digits hold -2**(8w-1) <= c < 2**(8w-1); widen until they do.
     while not all(-(1 << (8 * width - 1)) <= c < 1 << (8 * width - 1) for c in p.terms.values()):
         width += 1
-    packed = poly._pack(p._rows, low, step, row, nrows, width)
+    packed = poly._pack(p._rows, low, step, row, width)
     assert poly._unpack(packed, low, step, row, nrows, row, width) == p._rows
 
 
@@ -698,17 +762,17 @@ def one_digit_packs():
     balanced digit, -2**(8w-1) <= c < 2**(8w-1); yields the widths packed."""
     widths, pack = [], poly._pack
 
-    def checked(rows, low, step, row, nrows, width):
+    def checked(rows, low, step, row, width):
         half = 1 << (8 * width - 1)
         assert all(-half <= c < half for _, _, coeffs in rows.values() for c in coeffs)
         widths.append(width)
-        return pack(rows, low, step, row, nrows, width)
+        return pack(rows, low, step, row, width)
 
     with mock.patch.object(poly, "_pack", checked):
         yield widths
 
 
-def test_division_and_elimination_pack_one_digit_per_coefficient():
+def test_binomial_and_multirow_divisions_pack_one_digit_per_coefficient():
     lam7, lam8 = lehmer.lambda_rec(7), lehmer.lambda_rec(8)
     with one_digit_packs() as widths:
         # The dividend of [80 20]_q is wider than the divisor's first digit.
@@ -817,7 +881,7 @@ def test_constructor_drops_zero_coefficients(m):
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=8), st.integers(0, 5))
-def test_q_dense_matches_q_poly(coeffs, start):
+def test_q_dense_matches_the_constructor(coeffs, start):
     # The validating constructor is the oracle.
     p = poly.q_dense(list(coeffs), start)
     assert p == Poly2({(2 * (start + i), 0): c for i, c in enumerate(coeffs)})
