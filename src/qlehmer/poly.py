@@ -52,14 +52,15 @@ each operand once into one int and multiplies one row pair at a time into
 its product row, when the product rows have no more digits in all than
 there are term pairs, and else convolves the rows pairwise.
 
-`exact_div` packs each operand whole into one int by Kronecker
-substitution (`_grid`) and divides once with `divmod`; a nonzero remainder
-proves that the divisor does not divide.  Both write a row by one digit
-codec (`_encode`, `_decode`), and every coefficient packed fits one digit:
-the multiply sizes its digit to the product, and `exact_div` starts at the
-first width that holds both operands.  The quotient is unpacked and
-returned only after an exact certificate that it times the divisor is the
-dividend, at a digit width bounded by Mignotte's inequality.
+`exact_div` divides one z-row by one z-row, the one shape of division the
+package runs: it packs both rows at their common u-step and divides once
+with `divmod`; a nonzero remainder proves that the divisor does not divide.
+Both write a row by one digit codec (`_encode`, `_decode`), and every
+coefficient packed fits one digit: the multiply sizes its digit to the
+product, and `exact_div` starts at the first width that holds both
+operands.  The quotient is decoded and returned only after an exact
+certificate that it times the divisor is the dividend, at a digit width
+bounded by Mignotte's inequality.
 
 `RatFunc` is the quotient-field layer: a num/den pair of polynomials with
 den != 0, never reduced by GCD.  Equality and sums cross-multiply only when
@@ -400,76 +401,6 @@ def _mul_packed(a: Rows, b: Rows, grid) -> Rows:
     return out
 
 
-def _grid(a: Rows, b: Rows):
-    """The reduced exponent grid that packs the nonzero row maps a and b.
-
-    Returns (low_a, low_b, step, span_a, span_b), each a (u, v) pair: every
-    exponent of a is low_a + step * i with 0 <= i <= span_a per variable,
-    and likewise for b.  The step is the gcd of all offsets from the minima
-    of both operands (1 where they are all zero), so (u, v) values with only
-    even exponents pack as densely as their (q, z) view.  The offsets of a
-    row's terms have the gcd of its low's offset and its step, so each row
-    adds just those two to the gcd.
-    """
-    def bounds(rows):
-        low = min(lo for lo, _, _ in rows.values())
-        high = max(lo + (len(coeffs) - 1) * step for lo, step, coeffs in rows.values())
-        return low, high, [x for r in rows.values() for x in (r[0] - low, _stride(r))]
-
-    la, ha, offsets_a = bounds(a)
-    lb, hb, offsets_b = bounds(b)
-    low_a, low_b = (la, min(a)), (lb, min(b))
-    su = gcd(*offsets_a, *offsets_b) or 1
-    sv = gcd(*{e - low_a[1] for e in a}, *{e - low_b[1] for e in b}) or 1
-    span_a = ((ha - la) // su, (max(a) - low_a[1]) // sv)
-    span_b = ((hb - lb) // su, (max(b) - low_b[1]) // sv)
-    return low_a, low_b, (su, sv), span_a, span_b
-
-
-def _pack(rows: Rows, low: Exponents, step: Exponents, row: int, width: int) -> int:
-    """The row map evaluated at X = 2**(8 * width), as one int.
-
-    The reduced exponent pair (i, k) = ((eu - low_u) / su, (ev - low_v) / sv)
-    goes to the power X**(k * row + i), so a packed row of `row` digits
-    holds one row of the map, packed by `_encode`.
-    """
-    (lu, lv), (su, sv) = low, step
-    return sum(_encode(r, su, width) << ((ev - lv) // sv * row + (r[0] - lu) // su) * 8 * width
-               for ev, r in rows.items())
-
-
-def _unpack(value: int, low: Exponents, step: Exponents, row: int, nrows: int,
-            cols: int, width: int) -> Rows | None:
-    """Inverse of `_pack` in balanced digits, each in [-2**(8*width-1), 2**(8*width-1)).
-
-    Each packed row is one z-row.  Its bytes, as an int, XOR the `_bias` of
-    a row mark its nonzero digits, so two bit lengths give the slice that
-    `_decode` reads.  Returns None when the digits of `value` do not fit
-    `nrows` rows, or a nonzero one lies in a column >= `cols` of its row.
-    """
-    (lu, lv), (su, sv) = low, step
-    bits = 8 * width
-    biased = value + _bias(nrows * row, width)
-    if biased < 0 or biased.bit_length() > bits * nrows * row:
-        return None
-    data = biased.to_bytes(nrows * row * width, "little")
-    zero_row = _bias(row, width)
-    out: Rows = {}
-    size = row * width
-    for k in range(nrows):
-        at = k * size
-        mark = int.from_bytes(data[at:at + size], "little") ^ zero_row
-        if not mark:
-            continue
-        first = ((mark & -mark).bit_length() - 1) // bits
-        last = (mark.bit_length() - 1) // bits
-        if last >= cols:
-            return None
-        out[lv + k * sv] = _row(lu + first * su, su,
-                                _decode(data[at + first * width:at + (last + 1) * width], width))
-    return out
-
-
 def _encode(row: Row, step: int, width: int) -> int:
     """The row as one int of balanced digits of `width` bytes at u-step
     `step`, a divisor of its own: one `bytes.join` of `to_bytes` over the
@@ -526,65 +457,68 @@ def z_pow(k: int) -> Poly2:
 def exact_div(a: Poly2, b: Poly2) -> Poly2:
     """Quotient c with c*b == a, when b divides a exactly in Z[u, v].
 
-    Packed division by Kronecker substitution on `_grid`.  After the
-    shift by each operand's minimum and the division by the common stride,
-    the quotient's reduced u- and v-ranges are those of a minus those of b;
-    a lowest monomial of a not divisible by that of b, or a b spanning more
-    than a, raises at once.  Then a and b are packed at digit width w, with
-    rows as wide as a's u-range, and one `divmod` gives the quotient.  Every
-    packed coefficient fits one digit: w starts at the width of b's largest
-    coefficient and doubles until it holds a's too.  The packing is a ring
-    map to Z, so b | a implies that the packed b divides the packed a, and a
-    nonzero remainder raises.  The quotient is unpacked in balanced digits,
-    which are the quotient's coefficients when w holds them, and certified
-    exactly by the ring's own product: c*b == a.  A failed certificate
-    doubles w.
+    a and b must be one z-row each (else ValueError), as in the package's
+    one division, a q-polynomial by (q;q)_k.  At the rows' common u-step
+    the quotient's lowest monomial and span are a's less b's, so a lowest
+    monomial of a not divisible by b's, or a b spanning more than a, raises
+    at once.  Then each row is packed by `_encode` at digit width w and one
+    `divmod` gives the quotient.  Every packed coefficient fits one digit:
+    w starts at the width of b's largest coefficient and doubles until it
+    holds a's too.  The packing is a ring map to Z, so b | a implies that
+    the packed b divides the packed a, and a nonzero remainder raises.  A
+    quotient that fits the `cols` balanced digits of its span is decoded,
+    and the digits, c's coefficients when w holds them, are certified by
+    the ring's own product: c*b == a.  Else w doubles.
 
-    A true quotient c is a divisor of degree at most d of the packed a (read
-    as a polynomial in X = 2**(8w)), so by Mignotte's inequality (M.
-    Mignotte, "An inequality about factors of polynomials", Math. Comp.
-    1974) its coefficients are at most 2**d * ||a||_2.  Once w holds twice
-    that bound, a true quotient unpacks with every digit below a quarter of
-    the digit range and passes its certificate, so anything else raises.
-    That width caps w; it holds a, since ||a||_2 >= max|a|.  Below it a
-    quotient with a digit in the top quarter is taken as wrapped and w
-    doubles without a certificate.
+    A true quotient c divides a, read as polynomials in X = u**step, and
+    has degree d = cols - 1, so by Mignotte's inequality (M. Mignotte, "An
+    inequality about factors of polynomials", Math. Comp. 1974) its
+    coefficients are at most 2**d * ||a||_2.  Once w holds twice that bound,
+    a true quotient unpacks with every digit below a quarter of the digit
+    range and passes its certificate, so anything else raises.  That width
+    caps w; it holds a, since ||a||_2 >= max|a|.  Below it a quotient with
+    a digit in the top quarter is taken as wrapped and w doubles without a
+    certificate.
     """
-    if b.is_zero:
-        raise ExactDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return ZERO
     ta, tb = a._rows, b._rows
-    low_a, low_b, step, span_a, span_b = _grid(ta, tb)
-    low = (low_a[0] - low_b[0], low_a[1] - low_b[1])
-    if low[0] < 0 or low[1] < 0:
-        raise ExactDivisionError(f"lowest monomial {low_a} not divisible by {low_b}")
-    row = span_a[0] + 1
-    cols = span_a[0] - span_b[0] + 1
-    rows = span_a[1] - span_b[1] + 1
-    if cols < 1 or rows < 1:
+    if len(ta) > 1 or len(tb) > 1:
+        raise ValueError("exact_div divides one z-row by one z-row")
+    if not tb:
+        raise ExactDivisionError("division by the zero polynomial")
+    if not ta:
+        return ZERO
+    (av, row_a), = ta.items()
+    (bv, row_b), = tb.items()
+    lo, ev = row_a[0] - row_b[0], av - bv
+    if lo < 0 or ev < 0:
+        raise ExactDivisionError(f"lowest monomial {(row_a[0], av)} not divisible by "
+                                 f"{(row_b[0], bv)}")
+    step = gcd(_stride(row_a), _stride(row_b)) or 1
+    cols = ((len(row_a[2]) - 1) * row_a[1] - (len(row_b[2]) - 1) * row_b[1]) // step + 1
+    if cols < 1:
         raise ExactDivisionError("divisor spans more than the dividend")
     b_max = _max_abs(tb)
-    norm = isqrt(sum(c * c for _, _, coeffs in ta.values() for c in coeffs)) + 1  # exceeds ||a||_2
-    cap = _width(norm << ((rows - 1) * row + cols))  # 2**d * norm, doubled
+    norm = isqrt(sum(map(mul, row_a[2], row_a[2]))) + 1  # exceeds ||a||_2
+    cap = _width(norm << cols)  # 2**d * norm, doubled
     width, a_width = _width(b_max), _width(_max_abs(ta))
     while width < a_width:  # ends: cap >= a_width
         width = min(2 * width, cap)
     while True:
-        quot, rem = divmod(_pack(ta, low_a, step, row, width), _pack(tb, low_b, step, row, width))
+        quot, rem = divmod(_encode(row_a, step, width), _encode(row_b, step, width))
         if rem:
             raise ExactDivisionError("packed remainder is nonzero")
-        tc = _unpack(quot, low, step, row, rows, cols, width)
+        biased = quot + _bias(cols, width)
         del quot
-        # None or empty: no quotient fits the box at this width.
-        if tc:
-            c_max = _max_abs(tc)
+        # A digit past `cols` would let c*b alias into the next digit.
+        if 0 <= biased < 1 << (8 * width * cols):
+            coeffs = _decode(biased.to_bytes(cols * width, "little"), width)
+            c_max = max(map(abs, coeffs))
             if 4 * c_max < 1 << (8 * width):
                 # When w holds every coefficient of c*b (it holds a's), packing
                 # is injective on them, so c*b == a follows from quot * pb == pa,
                 # which the divmod has shown, since c packs back to quot.
-                c = Poly2._raw(tc)
-                sure = _width(min(_size(tc), _size(tb)) * c_max * b_max)
+                c = Poly2._raw({ev: _row(lo, step, coeffs)})  # quot != 0, as a != 0
+                sure = _width(min(_size(c._rows), _size(tb)) * c_max * b_max)
                 if sure <= width or c * b == a:
                     return c
         if width >= cap:

@@ -441,6 +441,10 @@ PINNED_STDOUT = {
     "limit --zdeg 8 --qdeg 60 --json":
         "e47ecafa89349a02b75a3972b6a7bddb9264f5d710cd2e22efb2966b2bad9ace",
     "verify 10": "dd52bbdf77d74e2a92e4e09255251dea8937a15e1ff9bc3132339e339fa65c96",
+    # The division verbs; the [80 20] quotient outgrows both operands, so its
+    # division takes the width-doubling path.
+    "qbinom 80 20 --json": "85fd29cfa8890e734d1368385efda0fa9ea1a6fd8e9b68e88ee048766024814c",
+    "stabilize 100 20": "95cf32708a31caa478a0e9141103ac567d85e5186e697e7e0c81f75589999e31",
 }
 
 

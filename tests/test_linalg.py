@@ -259,7 +259,7 @@ def assert_det_on_grid(rows, candidate, even=False):
     return bound_u + 1, bound_v + 1
 
 
-class TestDetBareiss:
+class TestBareissOnGrid:
     def test_identity(self):
         assert bareiss([[int(i == j) for j in range(3)] for i in range(3)]) == 1
 
