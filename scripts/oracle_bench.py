@@ -8,9 +8,9 @@ defined in `qlehmer.cli`, each with a comment that gives its reason and its
 measured worst case.  Beyond those:
 
 * The test suite keeps smaller caps (continuant n <= 14, generic LU n <= 12,
-  product check n <= 16) so that it stays fast; since a product of two large
-  polynomials is packed one z-row pair at a time, these routes take well
-  under a second there.
+  product check n <= 16) so that it stays fast; since a product is a
+  monomial shift, or one packed kernel per product row, these routes take
+  well under a second there.
 * The band-blind determinant oracle, integer Bareiss on a full grid of
   integer points, lives in `tests/test_linalg.py` and runs there up to
   n = 16; no verb runs it, so it is not timed here.
@@ -21,13 +21,16 @@ closed sum `lambda_sum(n)` behind `qlehmer lambda`, whose z-rows come from
 certified (1 - q^j) stride passes and which `qlehmer verify` checks against
 the recursion; and the last step's two kernels: the monomial shift
 z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The kernel table
-times one product lam(n-1) * lam(n) per size, the packed row kernel of
-`Poly2` multiplication, and the division table
-`gauss_product` on [80 20]_q and [64 32]_q, the short quotient behind
-`qlehmer qbinom` and `qlehmer stabilize`.  Each row records the result's
-term count and largest coefficient in bits, the output size that drives the
-cost.  The last table times the routes of `qlehmer verify` for
-n = 1..--max-n.  Rerun this to retune the caps on different hardware.
+times one product lam(n-1) * lam(n) per size, and one square whose z-rows
+have mixed strides, ((1 + u) + v(1 + u^100000))^2: `Poly2` multiplies
+both by one packed kernel per product row, each on its own u-grid, so the
+v row packs 100002 digits at step u and the v^2 row 3 at step u^100000.
+The division table times `gauss_product` on [80 20]_q and [64 32]_q,
+the short quotient behind `qlehmer qbinom` and `qlehmer stabilize`.  Each
+row records the result's term count and largest coefficient in bits, the
+output size that drives the cost.  The last table times the routes of
+`qlehmer verify` for n = 1..--max-n.  Rerun this to retune the caps on
+different hardware.
 """
 
 import argparse
@@ -35,11 +38,12 @@ import time
 
 from qlehmer.lehmer import closed_factors, lambda_rec, lambda_sum, lambdas, lehmer_matrix
 from qlehmer.linalg import det_cofactor, lu_generic, product_check
-from qlehmer.poly import q_pow, z_pow
+from qlehmer.poly import ONE, Poly2, q_pow, z_pow
 from qlehmer.qcomb import gauss_product
 
 RECURSION_SIZES = (64, 96, 112, 128)
 KERNEL_SIZES = (8, 16, 22, 32, 48, 64)
+MIXED_SPAN = 100000
 DIVISION_SIZES = ((80, 20), (64, 32))
 
 
@@ -78,13 +82,18 @@ def recursion_table() -> None:
 
 
 def kernel_table() -> None:
+    """lam(n-1) * lam(n) per size, then the mixed-stride square."""
     lam = tuple(lambdas(max(KERNEL_SIZES)))
-    print(f"{'n':>3} {'lam(n-1)*lam(n)':>16} {'terms':>7} {'bits':>5}")
-    for n in KERNEL_SIZES:
+    u, v = Poly2.monomial(1, 1, 0), Poly2.monomial(1, 0, 1)
+    mixed = (ONE + u) + v * (ONE + Poly2.monomial(1, MIXED_SPAN, 0))
+    cases = [(f"lam({n - 1})*lam({n})", lam[n - 1], lam[n]) for n in KERNEL_SIZES]
+    cases.append((f"((1+u)+v(1+u^{MIXED_SPAN}))^2", mixed, mixed))
+    print(f"{'product':<28} {'seconds':>8} {'terms':>7} {'bits':>5}")
+    for name, a, b in cases:
         start = time.perf_counter()
-        product = lam[n - 1] * lam[n]
+        product = a * b
         seconds = time.perf_counter() - start
-        print(f"{n:>3} {seconds:16.4f} {len(product.terms):>7} {coeff_bits(product):>5}")
+        print(f"{name:<28} {seconds:8.4f} {len(product.terms):>7} {coeff_bits(product):>5}")
 
 
 def division_table() -> None:

@@ -29,9 +29,10 @@ from types import SimpleNamespace
 #
 # `verify`: the checks cost about n^6.  Most pairs share a denominator (see
 # `qlehmer.poly`), so the time goes into two lam(j-1) * lam(j) products per
-# sub-diagonal entry of L*U, multiplied one z-row pair at a time: `verify
-# 52` takes 1.0 s, `verify 60` 2.7 to 3.0 s and 24 MB, `verify 62` 3.4 s
-# and `verify 64` 4.4 s and 27 MB.
+# sub-diagonal entry of L*U.  A product is a monomial shift, or one packed
+# kernel per product row, and these take the kernel: `verify 52` takes
+# 1.0 s, `verify 60` 2.7 to 3.0 s and 24 MB, `verify 62` 3.4 s and
+# `verify 64` 4.4 s and 27 MB.
 VERIFY_MAX_N = 60
 # `det` and `lambda` print lam(n) by two routes, both written in pieces of
 # 16384 terms, one band of total degree rendered at a time (`poly.to_json`

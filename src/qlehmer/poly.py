@@ -42,15 +42,14 @@ operand); a row only the right operand has is taken as it is, or negated.
 Multiplication returns the other operand itself when one operand is `ONE`
 (the module's instance, not any constant 1); `RatFunc` keeps a polynomial
 as its numerator over `ONE`, so this spares a copy whenever such a value
-meets a fraction.  Otherwise multiplication takes one of three paths.
-When one operand is a monomial, as in the shifts z q^(j-2) * lam(j-2) of
-the recursions, every row moves to its shifted v-exponent and lo; it keeps
-its coefficient tuple when the monomial's coefficient is 1 and is scaled by
-one `map` otherwise.  A shift is injective on exponents, so no two terms
-merge and none becomes zero.  Otherwise `_mul_rows` packs each z-row of
-each operand once into one int and multiplies one row pair at a time into
-its product row, when the product rows have no more digits in all than
-there are term pairs, and else convolves the rows pairwise.
+meets a fraction.  Otherwise a product is a monomial shift, or one packed
+kernel per product row.  When one operand is a monomial, as in the shifts
+z q^(j-2) * lam(j-2) of the recursions, every row moves to its shifted
+v-exponent and lo; it keeps its coefficient tuple when the monomial's
+coefficient is 1 and is scaled by one `map` otherwise.  A shift is
+injective on exponents, so no two terms merge and none becomes zero.
+Otherwise `_mul_rows` multiplies one packed z-row pair at a time into its
+product row, which lies on its own u-grid.
 
 `exact_div` divides one z-row by one z-row, the one shape of division the
 package runs: it packs both rows at their common u-step and divides once
@@ -324,79 +323,55 @@ def _merge(a: Rows, b: Rows, subtract: bool) -> Rows:
 
 
 def _mul_rows(a: Rows, b: Rows) -> Rows:
-    """Product of two row maps, each of more than one term: `_mul_packed`
-    when the product rows of `_row_grid` have no more digits in all than
-    there are term pairs, else every pair of nonzero coefficients adds its
-    product into a map of its product row, which is then laid out dense."""
-    grid = _row_grid(a, b)
-    _, _, low, high = grid
-    if sum(high.values()) - sum(low.values()) + len(low) <= _size(a) * _size(b):
-        return _mul_packed(a, b, grid)
-    out: dict[int, dict[int, int]] = {}
-    b_pairs = {bv: _pairs(row) for bv, row in b.items()}
-    for av, row_a in a.items():
-        a_pairs = _pairs(row_a)
-        for bv, pairs in b_pairs.items():
-            row = out.setdefault(av + bv, {})
-            get = row.get
-            for au, x in a_pairs:
-                for bu, y in pairs:
-                    row[au + bu] = get(au + bu, 0) + x * y
-    return {ev: _dense(r) for ev, row in out.items()
-            if (r := {eu: c for eu, c in row.items() if c})}
-
-
-def _row_grid(a: Rows, b: Rows):
-    """(base, step, low, high) for two nonzero row maps.  The rows of a lie
-    on the u-grid base[0] + step * i and those of b on base[1] + step * i:
-    step is the gcd of each row's stride and of its low's distance from its
-    operand's lowest low.  low[ev] and high[ev] are the first and last digit
-    of product row ev, in steps from base[0] + base[1]: the lowest start and
-    the highest end among its row pairs."""
-    la = min(lo for lo, _, _ in a.values())
-    lb = min(lo for lo, _, _ in b.values())
-    s = gcd(*[x for rows, base in ((a, la), (b, lb)) for row in rows.values()
-              for x in (row[0] - base, _stride(row))]) or 1
-    ends_a, ends_b = ([(v, (lo - base) // s, (lo - base + (len(c) - 1) * step) // s)
-                       for v, (lo, step, c) in rows.items()] for rows, base in ((a, la), (b, lb)))
-    low: dict[int, int] = {}
-    high: dict[int, int] = {}
-    for av, a_first, a_last in ends_a:
-        for bv, b_first, b_last in ends_b:
-            ev, first, last = av + bv, a_first + b_first, a_last + b_last
-            if low.get(ev, first + 1) > first:  # the first pair of row ev, or a lower one
-                low[ev] = first
-            if high.get(ev, -1) < last:
-                high[ev] = last
-    return (la, lb), s, low, high
-
-
-def _mul_packed(a: Rows, b: Rows, grid) -> Rows:
-    """Product of two nonzero row maps on `_row_grid(a, b)`, one z-row pair
-    at a time: each row is packed once into one int (`_encode`), each pair
-    of rows is multiplied as ints and added into its product row at its
-    offset, and each product row is unpacked once (`_decode`) and made
-    canonical by `_row`, which drops a row that cancels.  A digit holds the
-    smaller bound on a product coefficient, min(#a, #b) * max|a| * max|b|
-    or ||a||_2 * ||b||_2 (Cauchy-Schwarz), and a sign."""
-    (la, lb), s, low, high = grid
+    """Product of two row maps, each of more than one term: one packed
+    kernel per product row ev = av + bv, on its own u-grid.  The grid starts
+    at the lowest start of the row's pairs, and its step s is the gcd of
+    their rows' strides and of the distances between their starts, so a
+    product row packs no more digits than its pairs span there.  Each row
+    is packed (`_encode`) once per step it is needed at, each pair's ints
+    are multiplied and added in at their offset, and each product row is
+    unpacked once (`_decode`) and made canonical by `_row`, which drops a
+    row that cancels.  A digit holds the smaller bound on a product
+    coefficient, min(#a, #b) * max|a| * max|b| or ||a||_2 * ||b||_2
+    (Cauchy-Schwarz), and a sign."""
     sq_a, sq_b = (sum(sum(map(mul, c, c)) for _, _, c in rows.values()) for rows in (a, b))
     width = _width(min(isqrt(sq_a * sq_b),
                        min(_size(a), _size(b)) * _max_abs(a) * _max_abs(b)))
     bits = 8 * width
-    # (v-exponent, bit offset of the first digit, value) per row of a and of b
-    packed_a, packed_b = ([(ev, (row[0] - base) // s * bits, _encode(row, s, width))
-                           for ev, row in rows.items()] for rows, base in ((a, la), (b, lb)))
-    sums = dict.fromkeys(low, 0)
-    for av, a_at, x in packed_a:
-        for bv, b_at, y in packed_b:
-            ev = av + bv
-            sums[ev] += x * y << (a_at + b_at - low[ev] * bits)
+    rows = [*a.values(), *b.values()]
+    # (v-exponent, index in rows, lo, stride, span) per row of a, then of b
+    ends = [(v, i, row[0], _stride(row), (len(row[2]) - 1) * row[1])
+            for i, (v, row) in enumerate(chain(a.items(), b.items()))]
+    ends_a, ends_b = ends[:len(a)], ends[len(a):]
+    # ev -> [step, lowest start, highest end, [(i, j, start) per pair]]; the gcd
+    # of each start's distance from the lowest before it is that of them all.
+    groups: dict[int, list] = {}
+    for av, i, a_lo, a_s, a_span in ends_a:
+        for bv, j, b_lo, b_s, b_span in ends_b:
+            start = a_lo + b_lo
+            end = start + a_span + b_span
+            group = groups.setdefault(av + bv, [0, start, end, []])
+            group[0] = gcd(group[0], a_s, b_s, start - group[1])
+            if start < group[1]:
+                group[1] = start
+            if end > group[2]:
+                group[2] = end
+            group[3].append((i, j, start))
+    packs: dict[int, list] = {}  # step -> each row packed at it, None until needed
     out: Rows = {}
-    for ev, value in sums.items():
-        n = high[ev] - low[ev] + 1
-        if row := _row(la + lb + low[ev] * s, s,
-                       _decode((value + _bias(n, width)).to_bytes(n * width, "little"), width)):
+    for ev, (s, low, high, pairs) in groups.items():
+        s = s or 1
+        packed = packs.setdefault(s, [None] * len(rows))
+        value = 0
+        for i, j, start in pairs:
+            if (x := packed[i]) is None:
+                x = packed[i] = _encode(rows[i], s, width)
+            if (y := packed[j]) is None:
+                y = packed[j] = _encode(rows[j], s, width)
+            value += x * y << ((start - low) // s * bits)
+        n = (high - low) // s + 1
+        if row := _row(low, s, _decode((value + _bias(n, width)).to_bytes(n * width, "little"),
+                                       width)):
             out[ev] = row
     return out
 

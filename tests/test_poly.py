@@ -88,13 +88,6 @@ def stepped_polys(draw):
     return Poly2(terms)
 
 
-def kronecker(a, b):
-    """The packed product's term map, from the row kernel itself, so that the
-    size rule in `_mul_rows` cannot route the operands to the dict loop."""
-    ra, rb = a._rows, b._rows
-    return Poly2._raw(poly._mul_packed(ra, rb, poly._row_grid(ra, rb))).terms
-
-
 def schoolbook(a, b):
     """Reference product: the plain double loop over term pairs."""
     out = {}
@@ -579,15 +572,14 @@ def test_exact_div_inverts_mul(a, b):
 
 
 @given(wide_polys(), wide_polys())
-def test_kronecker_product_matches_schoolbook(a, b):
+def test_packed_product_matches_schoolbook(a, b):
     product = a * b
     assert product == schoolbook(a, b)
     assert all(c != 0 for c in product.terms.values())
-    assert kronecker(a, b) == product.terms
 
 
 @given(wide_polys(), st.integers(1, 3), st.integers(0, 2), st.integers(10, 30))
-def test_kronecker_product_cancels(c, step_u, step_v, m):
+def test_packed_product_cancels(c, step_u, step_v, m):
     # (1 - x)(1 + x + ... + x^(m-1)) telescopes to 1 - x^m, so most digits
     # of the packed product cancel to zero and must leave no stored terms.
     x = Poly2.monomial(1, step_u, step_v)
@@ -596,10 +588,9 @@ def test_kronecker_product_cancels(c, step_u, step_v, m):
     product = a * geometric
     assert product == schoolbook(c, ONE - Poly2.monomial(1, step_u * m, step_v * m))
     assert all(coeff != 0 for coeff in product.terms.values())
-    assert kronecker(a, geometric) == product.terms
 
 
-def test_kronecker_digit_width_holds_the_tight_bound():
+def test_packed_product_digit_width_holds_the_tight_bound():
     # Constant-coefficient runs attain min(#a, #b) * max|a| * max|b| in the
     # middle of the product, so every digit width meets its largest value.
     for c in (*range(1, 64), 2**100 - 1):
@@ -619,47 +610,57 @@ def test_large_lambda_product_matches_evaluation():
 
 
 def packing_spy(monkeypatch):
-    """Route `_mul_packed` through a spy; returns the list of grids it packed."""
-    packed, kernel = [], poly._mul_packed
+    """Route `_mul_rows` through a spy; returns the list of operand row maps
+    it packed."""
+    packed, kernel = [], poly._mul_rows
 
-    def spy(a, b, grid):
-        packed.append(grid)
-        return kernel(a, b, grid)
+    def spy(a, b):
+        packed.append((a, b))
+        return kernel(a, b)
 
-    monkeypatch.setattr(poly, "_mul_packed", spy)
+    monkeypatch.setattr(poly, "_mul_rows", spy)
     return packed
 
 
-def test_one_size_rule_decides_packing(monkeypatch):
-    # Operands of more than one term are packed exactly when the product
-    # rows, at the common u-step, have no more digits in all than there are
-    # term pairs.
-    packed = packing_spy(monkeypatch)
-    one_q, far_q, far_z = ONE + q_pow(1), ONE + q_pow(1000), ONE + z_pow(1000)
-    # One product row of 3 digits (q-degrees 0..2) against 4 term pairs.
-    assert one_q * one_q == schoolbook(one_q, one_q)
-    assert len(packed) == 1
-    # The u-step q^1000 leaves two product rows of 2 digits against 4 pairs.
-    assert far_q * far_z == schoolbook(far_q, far_z)
-    assert len(packed) == 2
-    # One product row of 1002 digits (step q, q-degrees 0..1001) against 4.
-    assert one_q * far_q == schoolbook(one_q, far_q)
-    assert len(packed) == 2
+def test_each_product_row_packs_on_its_own_grid(monkeypatch):
+    # Each product row is packed at its own step, so it is decoded to no
+    # more digits than it spans there, and each row of an operand is packed
+    # once per step it meets.  In the first product the v and v^3 rows sit
+    # at step u^1000000 and the others at step u; in the second the row
+    # 1 + u^1000 of a meets a step-u row in the product row 1 and a step-u^1000
+    # row in the product row v.
+    digits, decode = [], poly._decode
+    encoded, encode = [], poly._encode
+
+    def count_digits(data, width):
+        digits.append(len(data) // width)
+        return decode(data, width)
+
+    def count_packs(row, step, width):
+        encoded.append((row, step))
+        return encode(row, step, width)
+
+    monkeypatch.setattr(poly, "_decode", count_digits)
+    monkeypatch.setattr(poly, "_encode", count_packs)
+    far, near = Poly2.monomial(1, 10**6, 0), Poly2.monomial(1, 1000, 0)
+    cases = [((ONE + U) + V * (ONE + far), ONE + z_pow(1)),
+             (ONE + near, (ONE + U) + V * (ONE + near))]
+    for a, b in cases:
+        digits.clear()
+        encoded.clear()
+        product = a * b
+        assert product == schoolbook(a, b)
+        assert digits == [len(coeffs) for _, _, coeffs in product._rows.values()]
+        assert len({(id(row), step) for row, step in encoded}) == len(encoded)
+    assert digits == [1002, 3]
+    assert sorted(step for row, step in encoded if row is a._rows[0]) == [1, 1000]
 
 
-def test_sparse_operands_take_the_dict_loop(monkeypatch):
-    # The product row of this square has two million digits for 100 term
-    # pairs, so the product must not be packed.
-    def refuse(*args):
-        raise AssertionError("sparse product was packed")
-
+def test_sparse_square_matches_schoolbook():
+    # One product row of two million digits at step u for 100 term pairs.
     sparse = Poly2({**{(i, 0): 1 for i in range(9)}, (10**6, 0): 1})
     assert len(sparse.terms) == 10
-    monkeypatch.setattr(poly, "_mul_packed", refuse)
     assert sparse * sparse == schoolbook(sparse, sparse)
-    lam = tuple(lambdas(22))
-    with pytest.raises(AssertionError, match="packed"):
-        lam[21] * lam[22]
 
 
 def test_product_row_starts_at_its_lowest_pair(monkeypatch):
@@ -672,7 +673,6 @@ def test_product_row_starts_at_its_lowest_pair(monkeypatch):
     product = a * b
     assert len(packed) == 1
     assert product == schoolbook(a, b)
-    assert kronecker(a, b) == product.terms
 
 
 def test_product_row_that_cancels_is_not_stored(monkeypatch):
@@ -718,7 +718,6 @@ def test_digit_width_holds_the_norm_bound():
             for sign in (1, -1):
                 b = Poly2({(i, 1): sign * c * (m - i) for i in range(m)})
                 assert a * b == schoolbook(a, b)
-                assert kronecker(a, b) == schoolbook(a, b).terms
 
 
 # -- packing: one row at X = 2**(8 * width) -----------------------------------
