@@ -15,12 +15,17 @@ measured worst case.  Beyond those:
   integer points, lives in `tests/test_linalg.py` and runs there up to
   n = 16; no verb runs it, so it is not timed here.
 
-The recursion table times the table `tuple(lambdas(n))`, the recursion
-behind `qlehmer det` (which keeps only its last two values); beside it the
-closed sum `lambda_sum(n)` behind `qlehmer lambda`, whose z-rows come from
+The recursion table times the table `tuple(lambdas(n))` and lam(n) alone
+by `lambda_rec(n)`, the route of `qlehmer det`.  Both run the recursion on
+half rows: H(j) is lam(j) with each z^k row cut at its centre u^(k(j-2)),
+about which the row is palindromic, and H(j) = cut_j(grow_j(H(j-1)) -
+z q^(j-2) H(j-2)), where grow_j mirrors about k/2 more terms onto each row
+(see `qlehmer.lehmer`).  `lambda_rec` keeps two halves and mirrors only
+H(n) into lam(n); `lambdas` mirrors every H(j).  Beside them: the closed
+sum `lambda_sum(n)` behind `qlehmer lambda`, whose z-rows come from
 certified (1 - q^j) stride passes and which `qlehmer verify` checks against
-the recursion; and the last step's two kernels: the monomial shift
-z q^(n-2) * lam(n-2) and the subtraction from lam(n-1).  The kernel table
+the recursion; and the last half-row step's two kernels: the monomial shift
+z q^(n-2) * H(n-2) and its subtraction from the grown H(n-1).  The kernel table
 times one product lam(n-1) * lam(n) per size, and one square whose z-rows
 have mixed strides, ((1 + u) + v(1 + u^100000))^2: `Poly2` multiplies
 both by one packed kernel per product row, each on its own u-grid, so the
@@ -36,7 +41,8 @@ different hardware.
 import argparse
 import time
 
-from qlehmer.lehmer import closed_factors, lambda_rec, lambda_sum, lambdas, lehmer_matrix
+from qlehmer.lehmer import (_mirrored, closed_factors, halves, lambda_rec, lambda_sum, lambdas,
+                            lehmer_matrix)
 from qlehmer.linalg import det_cofactor, lu_generic, product_check
 from qlehmer.poly import ONE, Poly2, q_pow, z_pow
 from qlehmer.qcomb import gauss_product
@@ -48,9 +54,10 @@ DIVISION_SIZES = ((80, 20), (64, 32))
 
 
 def timed(fn):
+    """fn() and the seconds it took."""
     start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    result = fn()
+    return result, time.perf_counter() - start
 
 
 def coeff_bits(p) -> int:
@@ -58,26 +65,20 @@ def coeff_bits(p) -> int:
 
 
 def recursion_table() -> None:
-    """The table lam(0..n) and the closed sum lam(n), then the last step's
-    shift and subtraction on the table."""
-    print(f"{'n':>3} {'lambdas':>10} {'lambda_sum':>10} {'shift':>7} {'subtract':>8} "
-          f"{'terms':>7} {'bits':>5}")
+    """The table lam(0..n), lam(n) alone by the recursion and by the closed
+    sum, then the last half-row step's shift and subtraction."""
+    print(f"{'n':>3} {'lambdas':>10} {'lambda_rec':>10} {'lambda_sum':>10} {'shift':>7} "
+          f"{'subtract':>8} {'terms':>7} {'bits':>5}")
     for n in RECURSION_SIZES:
-        start = time.perf_counter()
-        lam = tuple(lambdas(n))
-        t_rec = time.perf_counter() - start
-        start = time.perf_counter()
-        closed = lambda_sum(n)
-        t_sum = time.perf_counter() - start
-        step = z_pow(1) * q_pow(n - 2)
-        start = time.perf_counter()
-        shifted = step * lam[n - 2]
-        t_shift = time.perf_counter() - start
-        start = time.perf_counter()
-        last = lam[n - 1] - shifted
-        t_sub = time.perf_counter() - start
-        assert last == lam[n] == closed
-        print(f"{n:>3} {t_rec:10.3f} {t_sum:10.3f} {t_shift:7.4f} {t_sub:8.4f} "
+        lam, t_table = timed(lambda: tuple(lambdas(n)))
+        last, t_rec = timed(lambda: lambda_rec(n))
+        closed, t_sum = timed(lambda: lambda_sum(n))
+        half = tuple(halves(n))
+        grown, step = _mirrored(half[n - 1], n - 1, n), z_pow(1) * q_pow(n - 2)
+        shifted, t_shift = timed(lambda: step * half[n - 2])
+        diff, t_sub = timed(lambda: grown - shifted)
+        assert _mirrored(diff, n, n) == half[n] and last == lam[n] == closed
+        print(f"{n:>3} {t_table:10.3f} {t_rec:10.3f} {t_sum:10.3f} {t_shift:7.4f} {t_sub:8.4f} "
               f"{len(last.terms):>7} {coeff_bits(last):>5}")
 
 
@@ -122,10 +123,10 @@ def main() -> None:
     print(f"{'n':>3} {'closed':>9} {'continuant':>11} {'lu_generic':>11} {'product':>9}")
     for n in range(1, args.max_n + 1):
         m = lehmer_matrix(n)
-        t_closed = timed(lambda: lambda_rec(n))
-        t_cont = timed(lambda: det_cofactor(m))
-        t_lu = timed(lambda: lu_generic(m))
-        t_prod = timed(lambda: product_check(closed_factors(n), m))
+        t_closed = timed(lambda: lambda_rec(n))[1]
+        t_cont = timed(lambda: det_cofactor(m))[1]
+        t_lu = timed(lambda: lu_generic(m))[1]
+        t_prod = timed(lambda: product_check(closed_factors(n), m))[1]
         print(f"{n:>3} {t_closed:9.3f} {t_cont:11.3f} {t_lu:11.3f} {t_prod:9.3f}")
 
 

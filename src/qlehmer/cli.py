@@ -38,11 +38,13 @@ VERIFY_MAX_N = 60
 # 16384 terms, one band of total degree rendered at a time (`poly.to_json`
 # and `poly.to_text` given `sys.stdout.write`), never as one string.
 #
-# `det`: the recursion keeps two lam's at a time, so time grows about as n^4
-# (lam(n) has about n^3/24 terms and each of the n steps passes over them)
-# and memory as n^3.  Time binds: `det 212 --json` takes 1.7 to 2.3 s and
-# peaks at 78 MB.
-DET_MAX_N = 212
+# `det`: the recursion keeps two half lam's at a time (each z-row cut at its
+# centre, see `qlehmer.lehmer`) and mirrors only lam(n), so time grows about
+# as n^4 (lam(n) has about n^3/24 terms and each of the n steps passes over
+# half of them) and memory as n^3.  Time binds: `det 212 --json` takes 1.3 to
+# 1.4 s and peaks at 48 MB, `det 232 --json` 1.9 to 2.3 s and 58 MB, and
+# `det 232` in text 2.0 to 2.1 s.
+DET_MAX_N = 232
 # `lambda`: the closed sum builds lam(j) in O(j^3) stride passes, so printing
 # its terms takes most of the time and computing lam(j) sets the peak (about
 # 72 MB at j = 300).  `lambda 212` takes 0.75 s and 43 MB in either form;

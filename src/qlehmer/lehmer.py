@@ -15,11 +15,36 @@ certified (1 - q^j) stride kernel of `poly`) and `lambda_rec` (three-term
 recursion) share no code; tests require them to agree term for term.  The
 `lambda` verb prints `lambda_sum`, in O(j^3) passes, and `det` prints
 `lambda_rec`, in O(n^4), so the two verbs print the same bytes by the two
-routes, and `verify` checks one against the other.  The recursion is
-written once, in the generator `lambdas`, which keeps only the last two
-values: `lambda_rec(n)`, which is also det M(n), holds about three lam's at
-a time, so its memory grows as the size of lam(n) (about n^3/24 terms), not
-as the whole table (about n^4).
+routes, and `verify` checks one against the other.
+
+The recursion runs on half rows.  Reversing the indices of M(j) (J M(j) J,
+J the reversal permutation) puts v u^(j-1-i) at band position i, which is
+M(j) at (u^-1, v u^(j-2)).  A similarity keeps the determinant, so
+
+    lam(j)(u, v) = lam(j)(u^-1, v u^(j-2)),
+
+and comparing the v^(2k) coefficients, the z^k row of lam(j) is palindromic
+about its centre u^(k(j-2)): its coefficient at u^e is its coefficient at
+u^(2k(j-2) - e).  (This is the symmetry of the Gaussian polynomial
+[j-k k]_q, here read off the matrix, not the closed sum.)  Write H(j) for
+lam(j) with each z^k row cut after its centre.  The z^k row of lam(j) is the
+z^k row of lam(j-1) minus q^(j-2) times the z^(k-1) row of lam(j-2), so
+
+    H(j) = cut_j(grow_j(H(j-1)) - z q^(j-2) H(j-2)):
+
+  * up to u^(k(j-2)), lam(j-1)'s z^k row, whose centre is u^(k(j-3)), is
+    its half row with the next k/2 or so terms mirrored on (`grow_j`);
+  * lam(j-2)'s z^(k-1) row, shifted by q^(j-2), has its centre at
+    u^(k(j-2) + j - 2k), never below lam(j)'s since 2k <= j, so its half
+    row holds every term needed and H(j-2) is shifted as it is;
+  * `cut_j` drops what the difference holds past each centre of lam(j).
+
+So each step is still one monomial shift and one subtraction, over about
+half the terms.  `halves` yields H(0), H(1), ... keeping only the last two;
+`lambda_rec` mirrors only its last value back into lam(n), so it holds about
+three half lam's at a time and its memory grows as the size of lam(n)
+(about n^3/24 terms), not as the whole table (about n^4).  `lambdas`
+mirrors every H(j) for the callers that need each lam(j).
 """
 
 from __future__ import annotations
@@ -116,32 +141,66 @@ def lambda_sum(j: int) -> Poly2:
     return Poly2._raw(rows)
 
 
-def lambdas(j_max: int) -> Iterator[Poly2]:
-    """Yield lam(0), ..., lam(j_max) via lam(j) = lam(j-1) - z q^(j-2) lam(j-2).
+def _mirrored(h: Poly2, j: int, top: int | None) -> Poly2:
+    """lam(j)'s z^k rows through u^(k(top-2)), or whole if top is None, from
+    `h`, whose z^k row holds lam(j)'s either exactly through its centre
+    u^(k(j-2)) or at least through u^(k(top-2)).
+
+    A row of more than one term is dense in q (step u^2), so on a row from
+    u^lo its index i past the centre holds the coefficient at index
+    last - i, where last = k(j-2) - lo indexes its final term u^(2k(j-2) - lo).
+    """
+    rows = {}
+    for ev, row in h._rows.items():
+        lo, step, coeffs = row
+        k = ev >> 1
+        last = k * (j - 2) - lo
+        keep = last + 1 if top is None else min(last, (k * (top - 2) - lo) >> 1) + 1
+        have = len(coeffs)
+        if keep > have:
+            row = lo, 2, coeffs + coeffs[last + 1 - keep:last + 1 - have][::-1]
+        elif keep < have:
+            row = lo, step if keep > 1 else 1, coeffs[:keep]
+        rows[ev] = row
+    return Poly2._raw(rows)
+
+
+def halves(j_max: int) -> Iterator[Poly2]:
+    """Yield H(0), ..., H(j_max): lam(j) with each z^k row cut after its
+    centre u^(k(j-2)), by H(j) = cut_j(grow_j(H(j-1)) - z q^(j-2) H(j-2))
+    (see the module docstring).
 
     The recursion only applies from j = 2 on (q^(j-2) would be a negative
-    power at j = 1); lam(0) = lam(1) = 1 are the base cases.  Only the last
-    two values are kept; a caller that needs the table builds it with
-    `tuple(lambdas(n))`.
+    power at j = 1); H(0) = H(1) = 1 are the base cases.  Only the last two
+    values are kept.
     """
     if j_max < 0:
         raise ValueError("index must be nonnegative")
     prev2 = prev1 = ONE
     for j in range(j_max + 1):
         if j >= 2:
-            prev2, prev1 = prev1, prev1 - z_pow(1) * q_pow(j - 2) * prev2
+            grown = _mirrored(prev1, j - 1, j)
+            prev2, prev1 = prev1, _mirrored(grown - z_pow(1) * q_pow(j - 2) * prev2, j, j)
         yield prev1
 
 
+def lambdas(j_max: int) -> Iterator[Poly2]:
+    """Yield lam(0), ..., lam(j_max), each mirrored from its half H(j); a
+    caller that needs the table builds it with `tuple(lambdas(n))`."""
+    for j, h in enumerate(halves(j_max)):
+        yield _mirrored(h, j, None)
+
+
 def lambda_rec(j: int) -> Poly2:
-    """lam(j) alone, holding two values of the recursion at a time.
+    """lam(j) alone, holding two half values of the recursion at a time and
+    mirroring only the last.
 
     For j >= 1 this is det M(j): the U pivots lam(i)/lam(i-1) telescope to
     lam(j)/lam(0).
     """
-    for lam in lambdas(j):
+    for h in halves(j):
         pass
-    return lam
+    return _mirrored(h, j, None)
 
 
 def band_monomial(i: int) -> Poly2:

@@ -65,7 +65,8 @@ def test_lambda_runs_no_ring_arithmetic_and_no_recursion(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "__add__", "__sub__"):
         monkeypatch.setattr(Poly2, name, forbidden)
-    monkeypatch.setattr(lehmer, "lambdas", forbidden)
+    for name in ("halves", "lambdas"):
+        monkeypatch.setattr(lehmer, name, forbidden)
     assert run("lambda", "30") == expected
 
 
@@ -195,7 +196,8 @@ def test_closed_verbs_above_cap_exit_2_without_computing(verb, size, cap, monkey
     def forbidden(*args):
         raise AssertionError(f"{verb} computed past its cap")
 
-    for name in ("lambdas", "lambda_rec", "lambda_sum", "closed_factors", "lehmer_matrix"):
+    for name in ("halves", "lambdas", "lambda_rec", "lambda_sum", "closed_factors",
+                 "lehmer_matrix"):
         monkeypatch.setattr(lehmer, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:

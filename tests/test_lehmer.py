@@ -11,6 +11,7 @@ from qlehmer.lehmer import (
     TriMatrix,
     band_monomial,
     closed_factors,
+    halves,
     lambda_rec,
     lambda_sum,
     lambdas,
@@ -153,10 +154,43 @@ def test_lambda_rows_store_no_zero():
             assert 0 not in coeffs and (step == 2 or len(coeffs) == 1), (j, k)
 
 
-def test_sum_equals_rec_up_to_24():
-    fam = tuple(lambdas(24))
-    for j in range(25):
-        assert lambda_sum(j) == fam[j], j
+def test_reversed_matrix_is_the_matrix_at_inverse_u():
+    # J M(j) J puts the band entry of position j - i at position i; that is
+    # v u^(j-1-i) = (v u^(j-2)) * (u^-1)^(i-1), M(j) at (u^-1, v u^(j-2)).
+    # The half-row recursion rests on this similarity.
+    for j in range(2, 12):
+        band = lehmer_matrix(j).superdiag
+        for i in range(1, j):
+            assert band[j - 1 - i].terms == {(j - 1 - i, 1): 1}, (j, i)
+
+
+def test_closed_sum_rows_are_palindromic_about_the_centre():
+    # Checked on the closed sum, which does not use the symmetry: the
+    # coefficient of u^e v^(2k) in lam(j) is the one of u^(2k(j-2) - e) v^(2k).
+    for j in range(81):
+        terms = lambda_sum(j).terms
+        for (eu, ev), c in terms.items():
+            assert terms.get((ev * (j - 2) - eu, ev)) == c, (j, eu, ev)
+
+
+def test_halves_are_the_closed_sum_cut_at_each_centre():
+    for j, half in enumerate(halves(40)):
+        full = lambda_sum(j).terms
+        assert half.terms == {(eu, ev): c for (eu, ev), c in full.items()
+                              if eu <= ev // 2 * (j - 2)}, j
+
+
+def test_rec_and_table_equal_closed_sum_up_to_130():
+    # Both recursion routes, on half rows, against the closed sum, which
+    # does not use the symmetry; 130 covers `det 112` and `det 128` of the
+    # benchmark and both parities of the final mirror.
+    n = 130
+    table = tuple(lambdas(n))
+    assert len(table) == n + 1
+    for j in range(n + 1):
+        closed = lambda_sum(j)
+        assert table[j] == closed, j
+        assert lambda_rec(j) == closed, j
 
 
 def test_recursion_holds_for_sum_values():
